@@ -43,7 +43,7 @@ commands:
             [--epsilon E] [--quantile Q] [--iters N] [--seed S] [--threads N]
             [--out FILE] [--gantt] [--svg FILE] [--json FILE]
   evaluate  --problem FILE --schedule FILE [--realizations N] [--seed S]
-            [--threads N] [--lanes W] [--scalar] [--criticality] [--json FILE]
+            [--threads N] [--lanes W] [--criticality] [--json FILE]
   resched   --problem FILE [--schedule FILE] [--oversub L]
             [--trigger slack|deadline|cadence] [--slack T] [--cadence N]
             [--max-resolves R] [--drop never|deadline-infeasible|probabilistic]
@@ -225,15 +225,13 @@ int cmd_evaluate(const Options& opts) {
   MonteCarloConfig config;
   config.realizations = static_cast<std::size_t>(opts.get_int("realizations", 1000));
   config.seed = static_cast<std::uint64_t>(opts.get_int("seed", 42));
-  // Pure performance knobs: the report is seed-stable for any thread count,
-  // lane width, and batched-vs-scalar choice (per-realization RNG substreams
-  // plus the bit-identical lane-blocked sweep, see sim/monte_carlo.hpp).
-  // --scalar forces the one-realization-per-pass oracle sweep.
+  // Pure performance knobs: the report is seed-stable for any thread count
+  // and lane width (per-realization RNG substreams plus the bit-identical
+  // lane-blocked sweep, see sim/monte_carlo.hpp).
   config.threads = static_cast<std::size_t>(opts.get_int(
       "threads", static_cast<std::int64_t>(std::thread::hardware_concurrency())));
   config.lane_width = static_cast<std::size_t>(opts.get_int(
       "lanes", static_cast<std::int64_t>(config.lane_width)));
-  config.batched = !opts.get_bool("scalar", false);
   const RobustnessReport report = evaluate_robustness(instance, schedule, config);
 
   ResultTable table({"metric", "value"});

@@ -54,6 +54,10 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
+// The scalar one-realization-per-pass Monte-Carlo oracle the batched sweep
+// is differentially tested against.
+#include "../tests/sim/scalar_oracle.hpp"
+
 namespace {
 
 using namespace rts;
@@ -327,17 +331,15 @@ void check_metamorphic(FuzzContext& ctx, const ProblemInstance& instance,
     mc.seed = mc_seed;
     mc.threads = 1;
     mc.collect_samples = true;
-    mc.batched = false;
-    const RobustnessReport oracle = evaluate_robustness(instance, schedule, mc);
-    mc.batched = true;
+    const RobustnessReport scalar = oracle::scalar_robustness(instance, schedule, mc);
     for (const std::size_t lanes : {std::size_t{3}, std::size_t{8}, std::size_t{32}}) {
       mc.lane_width = lanes;
       const RobustnessReport batched = evaluate_robustness(instance, schedule, mc);
-      if (batched.samples != oracle.samples ||
-          batched.mean_realized_makespan != oracle.mean_realized_makespan ||
-          batched.mean_tardiness != oracle.mean_tardiness ||
-          batched.miss_rate != oracle.miss_rate || batched.r1 != oracle.r1 ||
-          batched.r2 != oracle.r2) {
+      if (batched.samples != scalar.samples ||
+          batched.mean_realized_makespan != scalar.mean_realized_makespan ||
+          batched.mean_tardiness != scalar.mean_tardiness ||
+          batched.miss_rate != scalar.miss_rate || batched.r1 != scalar.r1 ||
+          batched.r2 != scalar.r2) {
         std::ostringstream os;
         os << "batched sweep (lane_width=" << lanes
            << ") diverged from the scalar oracle";

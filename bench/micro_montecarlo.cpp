@@ -1,8 +1,8 @@
 // Micro-benchmark: Monte-Carlo robustness estimation throughput — the
-// batched lane-blocked sweep (sim/batched_sweep, default) against the scalar
-// one-realization-per-pass oracle, at the ROADMAP's target scale (100 tasks,
-// 100k realizations, single thread), plus the lane-width sweep and the
-// OpenMP scaling row.
+// batched lane-blocked sweep (sim/batched_sweep) against the scalar
+// one-realization-per-pass oracle (tests/sim/scalar_oracle.hpp), at the
+// ROADMAP's target scale (100 tasks, 100k realizations, single thread),
+// plus the lane-width sweep and the OpenMP scaling row.
 //
 // Emits BENCH_mc.json — a recorded baseline, not a CI gate (shared CI
 // runners are too noisy for a throughput threshold). The repo's target is
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/sim/scalar_oracle.hpp"
 #include "core/rts.hpp"
 
 namespace {
@@ -88,12 +89,17 @@ struct Run {
   rts::RobustnessReport report;
 };
 
+using Estimator = rts::RobustnessReport (*)(const rts::ProblemInstance&,
+                                            const rts::Schedule&,
+                                            const rts::MonteCarloConfig&);
+
 Run timed_run(const rts::ProblemInstance& instance, const rts::Schedule& schedule,
-              const rts::MonteCarloConfig& config, int reps) {
+              const rts::MonteCarloConfig& config, int reps,
+              Estimator estimate = rts::evaluate_robustness) {
   Run run;
   for (int r = 0; r < reps; ++r) {
     const auto start = Clock::now();
-    run.report = rts::evaluate_robustness(instance, schedule, config);
+    run.report = estimate(instance, schedule, config);
     const double s = seconds_since(start);
     run.rate = std::max(run.rate,
                         static_cast<double>(config.realizations) / s);
@@ -123,13 +129,11 @@ int main(int argc, char** argv) {
   base.threads = 1;
 
   // --- Scalar oracle, single thread: the pre-batching hot path.
-  MonteCarloConfig scalar_cfg = base;
-  scalar_cfg.batched = false;
-  const Run scalar = timed_run(instance, schedule, scalar_cfg, reps);
+  const Run scalar =
+      timed_run(instance, schedule, base, reps, oracle::scalar_robustness);
 
   // --- Batched, single thread, at the configured lane width (headline row).
   MonteCarloConfig batched_cfg = base;
-  batched_cfg.batched = true;
   batched_cfg.lane_width = opts.lanes;
   const Run batched = timed_run(instance, schedule, batched_cfg, reps);
 

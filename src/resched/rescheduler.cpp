@@ -5,17 +5,13 @@
 #include <limits>
 #include <utility>
 
-#ifdef RTS_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "check/validator.hpp"
 #include "ga/chromosome.hpp"
 #include "graph/topology.hpp"
 #include "sched/timing.hpp"
+#include "sim/realization.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "workload/uncertainty.hpp"
 
 namespace rts {
 
@@ -400,44 +396,29 @@ ReschedEvalReport evaluate_resched(const ProblemInstance& instance, const Schedu
   };
   std::vector<RunStats> runs(mc.realizations);
   const Rng root(mc.seed);
-  const auto total = static_cast<std::int64_t>(mc.realizations);
-#ifdef RTS_HAVE_OPENMP
-  const int thread_count =
-      mc.threads > 0 ? static_cast<int>(mc.threads) : omp_get_max_threads();
-#pragma omp parallel num_threads(thread_count) default(none) \
-    shared(instance, plan, config, n, m, total, root, runs)
-#endif
-  {
-    Matrix<double> realized(n, m);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (std::int64_t i = 0; i < total; ++i) {
-      Rng rng = root.substream(static_cast<std::uint64_t>(i));
-      for (std::size_t t = 0; t < n; ++t) {
-        for (std::size_t p = 0; p < m; ++p) {
-          realized(t, p) =
-              sample_realized_duration(rng, instance.bcet(t, p), instance.ul(t, p));
-        }
-      }
-      ReschedConfig run_config = config;
-      run_config.drop_seed = hash_combine_u64(config.drop_seed, static_cast<std::uint64_t>(i));
-      run_config.ga.seed =
-          hash_combine_u64(config.ga.seed ^ 0x6a5eedull, static_cast<std::uint64_t>(i));
-      run_config.ga.threads = 1;  // the realization loop owns the parallelism
-      const ReschedRunResult run =
-          run_online_reschedule(instance, plan, realized, run_config);
-      RunStats& s = runs[static_cast<std::size_t>(i)];
-      s.makespan = run.makespan;
-      s.miss_fraction =
-          static_cast<double>(run.deadline_misses) / static_cast<double>(n);
-      s.value = run.value_accrued;
-      s.dropped = static_cast<double>(
-          std::count(run.dropped.begin(), run.dropped.end(), std::uint8_t{1}));
-      s.resolves = static_cast<double>(run.resolves);
-      s.ga_iterations = static_cast<double>(run.ga_iterations_total);
-    }
-  }
+  for_each_realization_block(
+      mc.realizations, 1, mc.threads, [&] { return Matrix<double>(n, m); },
+      [&](Matrix<double>& realized, std::size_t i, std::size_t) {
+        Rng rng = root.substream(static_cast<std::uint64_t>(i));
+        sample_realized_matrix(instance, rng, realized);
+        ReschedConfig run_config = config;
+        run_config.drop_seed =
+            hash_combine_u64(config.drop_seed, static_cast<std::uint64_t>(i));
+        run_config.ga.seed =
+            hash_combine_u64(config.ga.seed ^ 0x6a5eedull, static_cast<std::uint64_t>(i));
+        run_config.ga.threads = 1;  // the realization loop owns the parallelism
+        const ReschedRunResult run =
+            run_online_reschedule(instance, plan, realized, run_config);
+        RunStats& s = runs[i];
+        s.makespan = run.makespan;
+        s.miss_fraction =
+            static_cast<double>(run.deadline_misses) / static_cast<double>(n);
+        s.value = run.value_accrued;
+        s.dropped = static_cast<double>(
+            std::count(run.dropped.begin(), run.dropped.end(), std::uint8_t{1}));
+        s.resolves = static_cast<double>(run.resolves);
+        s.ga_iterations = static_cast<double>(run.ga_iterations_total);
+      });
 
   ReschedEvalReport report;
   report.realizations = mc.realizations;

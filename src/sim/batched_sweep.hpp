@@ -14,8 +14,8 @@
 // compiler auto-vectorizes it and the edge metadata is fetched once per
 // edge instead of once per (edge, realization).
 //
-// Determinism contract (the reason the scalar sweep stays around as the
-// differential-testing oracle, see tests/sim/test_mc_batched.cpp): lanes
+// Determinism contract (checked against the scalar sweep kept as the
+// differential-testing oracle in tests/sim/scalar_oracle.hpp): lanes
 // never interact — lane l combines exactly the operands the scalar sweep
 // combines for realization l, in the same order (edges in CSR order, nodes
 // in topo order, the same max/+ reduction tree). Results are therefore

@@ -37,90 +37,48 @@ CriticalityReport analyze_criticality(const ProblemInstance& instance,
   const TimingEvaluator evaluator(instance.graph, instance.platform, schedule);
   const RealizationSampler sampler(instance, schedule);
 
-  // Per-task counts filled in parallel over realizations, reduced serially
-  // (deterministic for a fixed seed regardless of thread count).
+  // Per-realization flags filled in parallel by lane-blocked forward+
+  // backward sweeps (`lane_width` realizations per pass over Gs), reduced
+  // serially — deterministic for a fixed seed regardless of thread count.
+  // Lane slack values are bit-identical to full_timing_into's, so the flags
+  // match the one-realization-per-pass oracle exactly (same tol comparison
+  // against the same bits).
   std::vector<std::uint32_t> counts(n, 0);
   std::vector<std::uint64_t> total_critical_per_real(config.realizations, 0);
   std::vector<std::uint8_t> critical_flags(n * config.realizations, 0);
 
   const Rng root(config.seed);
+  const BatchedGsSweep sweep(evaluator);
+  const std::size_t lane_width = std::max<std::size_t>(1, config.lane_width);
 
-  if (config.batched) {
-    // Lane-blocked forward+backward sweeps: slack for `lane_width`
-    // realizations per pass over Gs. Lane slack values are bit-identical to
-    // full_timing_into's, so the derived flags match the scalar path
-    // exactly (same tol comparison against the same bits).
-    const BatchedGsSweep sweep(evaluator);
-    const std::size_t lane_width = std::max<std::size_t>(1, config.lane_width);
-    const std::size_t total = config.realizations;
-    const auto lane_blocks =
-        static_cast<std::int64_t>((total + lane_width - 1) / lane_width);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp parallel default(none) \
-    shared(config, n, lane_width, total, lane_blocks, sampler, root, sweep, \
-               critical_flags, total_critical_per_real)
-#endif
-    {
-      std::vector<double> durations(n * lane_width);
-      std::vector<double> start(n * lane_width);
-      std::vector<double> finish(n * lane_width);
-      std::vector<double> bottom(n * lane_width);
-      std::vector<double> slack(n * lane_width);
-      std::vector<double> makespans(lane_width);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (std::int64_t b = 0; b < lane_blocks; ++b) {
-        const std::size_t i0 = static_cast<std::size_t>(b) * lane_width;
-        const std::size_t lanes = std::min(lane_width, total - i0);
-        sampler.sample_lanes(root, static_cast<std::uint64_t>(i0), durations,
+  struct Scratch {
+    std::vector<double> durations, start, finish, bottom, slack, makespans;
+  };
+  for_each_realization_block(
+      config.realizations, lane_width, /*threads=*/0,
+      [&] {
+        const std::vector<double> lanes(n * lane_width);
+        return Scratch{lanes, lanes, lanes, lanes, lanes,
+                       std::vector<double>(lane_width)};
+      },
+      [&](Scratch& s, std::size_t i0, std::size_t end) {
+        const std::size_t lanes = end - i0;
+        sampler.sample_lanes(root, static_cast<std::uint64_t>(i0), s.durations,
                              lanes);
-        sweep.forward_backward(std::span<const double>(durations).first(n * lanes),
-                               lanes, start, finish, bottom, slack, makespans);
+        sweep.forward_backward(std::span<const double>(s.durations).first(n * lanes),
+                               lanes, s.start, s.finish, s.bottom, s.slack,
+                               s.makespans);
         for (std::size_t l = 0; l < lanes; ++l) {
-          const double tol = config.float_tolerance * makespans[l];
+          const double tol = config.float_tolerance * s.makespans[l];
           std::uint64_t count = 0;
           for (std::size_t t = 0; t < n; ++t) {
-            const bool crit = slack[t * lanes + l] <= tol;
+            const bool crit = s.slack[t * lanes + l] <= tol;
             critical_flags[(i0 + l) * n + t] = crit ? 1 : 0;
             count += crit ? 1 : 0;
           }
           total_critical_per_real[i0 + l] = count;
         }
-      }
-    }
-  } else {
-    const auto total = static_cast<std::int64_t>(config.realizations);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp parallel default(none) \
-    shared(config, n, total, sampler, root, evaluator, critical_flags, \
-               total_critical_per_real)
-#endif
-    {
-      // Per-thread scratch: the duration sample and the full-timing buffers
-      // are reused across this thread's realizations (full_timing_into keeps
-      // capacity), so the sweep performs no steady-state allocation.
-      std::vector<double> durations(n);
-      ScheduleTiming timing;
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (std::int64_t i = 0; i < total; ++i) {
-        Rng rng = root.substream(static_cast<std::uint64_t>(i));
-        sampler.sample(rng, durations);
-        // rts-lint: allow(no-scalar-mc-in-loop) — scalar oracle fallback.
-        evaluator.full_timing_into(durations, timing);
-        const double tol = config.float_tolerance * timing.makespan;
-        std::uint64_t count = 0;
-        for (const TaskId t : id_range<TaskId>(n)) {
-          const bool crit = timing.slack[t] <= tol;
-          critical_flags[static_cast<std::size_t>(i) * n + t.index()] = crit ? 1 : 0;
-          count += crit ? 1 : 0;
-        }
-        total_critical_per_real[static_cast<std::size_t>(i)] = count;
-      }
-    }
-  }
+      });
   for (std::size_t i = 0; i < config.realizations; ++i) {
     for (std::size_t t = 0; t < n; ++t) {
       counts[t] += critical_flags[i * n + t];

@@ -31,11 +31,10 @@ struct CriticalityConfig {
   double safe_threshold = 0.05;
   /// Tolerance (relative to the makespan) when testing zero float.
   double float_tolerance = 1e-9;
-  /// Lane-blocked batched sweep (sim/batched_sweep): `lane_width`
-  /// realizations per forward+backward pass over Gs. Bit-identical to the
-  /// scalar sweep (`batched = false`) for any lane width — pure performance
-  /// knobs, mirroring MonteCarloConfig.
-  bool batched = true;
+  /// Realizations per forward+backward pass of the lane-blocked sweep
+  /// (sim/batched_sweep). The report is bit-identical for any lane width
+  /// (checked against the one-realization-per-pass oracle in tests/sim), so
+  /// this is a pure performance knob, mirroring MonteCarloConfig.
   std::size_t lane_width = 32;
 };
 

@@ -4,9 +4,8 @@
 #include <queue>
 
 #include "sched/heft.hpp"
+#include "sim/realization.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
-#include "workload/uncertainty.hpp"
 
 namespace rts {
 
@@ -100,67 +99,24 @@ RobustnessReport evaluate_dynamic_eft(const ProblemInstance& instance,
   instance.validate();
   const std::size_t n = instance.task_count();
   const std::size_t m = instance.proc_count();
-
-  RobustnessReport report;
-  report.realizations = config.realizations;
   // The dispatcher's plan: its own execution when nothing deviates.
-  report.expected_makespan =
-      simulate_dynamic_eft(instance.graph, instance.platform, instance.expected,
-                           instance.expected)
-          .makespan;
-  const double m0 = report.expected_makespan;
+  const double m0 = simulate_dynamic_eft(instance.graph, instance.platform,
+                                         instance.expected, instance.expected)
+                        .makespan;
 
   std::vector<double> samples(config.realizations);
   const Rng root(config.seed);
-  const auto total = static_cast<std::int64_t>(config.realizations);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp parallel default(none) shared(instance, n, m, total, root, samples)
-#endif
-  {
-    Matrix<double> realized(n, m);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (std::int64_t i = 0; i < total; ++i) {
-      Rng rng = root.substream(static_cast<std::uint64_t>(i));
-      for (std::size_t t = 0; t < n; ++t) {
-        for (std::size_t p = 0; p < m; ++p) {
-          realized(t, p) =
-              sample_realized_duration(rng, instance.bcet(t, p), instance.ul(t, p));
-        }
-      }
-      samples[static_cast<std::size_t>(i)] =
-          simulate_dynamic_eft(instance.graph, instance.platform, instance.expected,
-                               realized)
-              .makespan;
-    }
-  }
-
-  RunningStats stats;
-  RunningStats tardy;
-  std::size_t misses = 0;
-  for (const double mi : samples) {
-    stats.add(mi);
-    tardy.add(std::max(0.0, mi - m0) / m0);
-    if (mi > m0) ++misses;
-  }
-  report.mean_realized_makespan = stats.mean();
-  report.stddev_realized_makespan = stats.stddev();
-  report.max_realized_makespan = stats.max();
-  report.p50_realized_makespan = percentile(samples, 50.0);
-  report.p95_realized_makespan = percentile(samples, 95.0);
-  report.p99_realized_makespan = percentile(samples, 99.0);
-  report.mean_tardiness = tardy.mean();
-  report.miss_rate =
-      static_cast<double>(misses) / static_cast<double>(config.realizations);
-  report.r1 = report.mean_tardiness > 0.0
-                  ? std::min(config.reciprocal_cap, 1.0 / report.mean_tardiness)
-                  : config.reciprocal_cap;
-  report.r2 = report.miss_rate > 0.0
-                  ? std::min(config.reciprocal_cap, 1.0 / report.miss_rate)
-                  : config.reciprocal_cap;
-  if (config.collect_samples) report.samples = std::move(samples);
-  return report;
+  for_each_realization_block(
+      config.realizations, 1, config.threads, [&] { return Matrix<double>(n, m); },
+      [&](Matrix<double>& realized, std::size_t i, std::size_t) {
+        Rng rng = root.substream(static_cast<std::uint64_t>(i));
+        sample_realized_matrix(instance, rng, realized);
+        samples[i] = simulate_dynamic_eft(instance.graph, instance.platform,
+                                          instance.expected, realized)
+                         .makespan;
+      });
+  return summarize_makespans(std::move(samples), m0, config.reciprocal_cap,
+                             config.collect_samples);
 }
 
 }  // namespace rts

@@ -9,9 +9,8 @@
 #include "sched/heft.hpp"
 #include "sched/timing.hpp"
 #include "sim/batched_sweep.hpp"
+#include "sim/realization.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
-#include "workload/uncertainty.hpp"
 
 namespace rts {
 
@@ -140,154 +139,85 @@ RobustnessReport evaluate_hybrid(const ProblemInstance& instance, const Schedule
   instance.validate();
   const std::size_t n = instance.task_count();
   const std::size_t m = instance.proc_count();
-
-  RobustnessReport report;
-  report.realizations = config.realizations;
-  report.expected_makespan =
+  const double m0 =
       compute_makespan(instance.graph, instance.platform, plan, instance.expected);
-  const double m0 = report.expected_makespan;
 
+  // Hoist the plan compile + planned timing out of the realization loop
+  // (simulate_hybrid recomputes both per call) and run the static execution
+  // of `lane_width` realizations per batched pass. A lane whose every finish
+  // stays within the slip budget never triggers a reschedule, and its
+  // static makespan is bit-identical to simulate_hybrid's untripped result —
+  // only tripped lanes fall back to the online re-dispatch. Trigger
+  // detection compares the same bits as simulate_hybrid, so the tripped set
+  // is identical too.
   std::vector<double> samples(config.realizations);
   std::vector<std::uint8_t> tripped(config.realizations, 0);
   const Rng root(config.seed);
+  const TimingEvaluator evaluator(instance.graph, instance.platform, plan);
+  const ScheduleTiming planned =
+      evaluator.full_timing(assigned_durations(instance.expected, plan));
+  const double slip_budget = threshold * planned.makespan;
+  const BatchedGsSweep sweep(evaluator);
+  const std::size_t lane_width = std::max<std::size_t>(1, config.lane_width);
+  std::vector<std::size_t> assigned_proc(n);
+  for (const TaskId t : id_range<TaskId>(n)) {
+    assigned_proc[t.index()] = plan.proc_of(t).index();
+  }
 
-  if (config.batched) {
-    // Fast path: hoist the plan compile + planned timing out of the
-    // realization loop (simulate_hybrid recomputes both per call) and run
-    // the static execution of `lane_width` realizations per batched pass.
-    // A lane whose every finish stays within the slip budget never triggers
-    // a reschedule, and its static makespan is bit-identical to
-    // simulate_hybrid's untripped result — only tripped lanes fall back to
-    // the scalar online re-dispatch. Trigger detection compares the same
-    // bits as the scalar path, so the tripped set is identical too.
-    const TimingEvaluator evaluator(instance.graph, instance.platform, plan);
-    const ScheduleTiming planned =
-        evaluator.full_timing(assigned_durations(instance.expected, plan));
-    const double slip_budget = threshold * planned.makespan;
-    const BatchedGsSweep sweep(evaluator);
-    const std::size_t lane_width = std::max<std::size_t>(1, config.lane_width);
-    const std::size_t total = config.realizations;
-    const auto lane_blocks =
-        static_cast<std::int64_t>((total + lane_width - 1) / lane_width);
-    std::vector<std::size_t> assigned_proc(n);
-    for (const TaskId t : id_range<TaskId>(n)) {
-      assigned_proc[t.index()] = plan.proc_of(t).index();
-    }
-#ifdef RTS_HAVE_OPENMP
-#pragma omp parallel default(none) \
-    shared(instance, plan, threshold, n, m, lane_width, total, lane_blocks, \
-               root, sweep, planned, slip_budget, assigned_proc, samples, \
-               tripped)
-#endif
-    {
-      std::vector<Matrix<double>> realized(lane_width, Matrix<double>(n, m));
-      std::vector<double> durations(n * lane_width);
-      std::vector<double> finish(n * lane_width);
-      std::vector<double> makespans(lane_width);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (std::int64_t b = 0; b < lane_blocks; ++b) {
-        const std::size_t i0 = static_cast<std::size_t>(b) * lane_width;
-        const std::size_t lanes = std::min(lane_width, total - i0);
+  struct Scratch {
+    std::vector<Matrix<double>> realized;
+    std::vector<double> durations;
+    std::vector<double> finish;
+    std::vector<double> makespans;
+  };
+  for_each_realization_block(
+      config.realizations, lane_width, config.threads,
+      [&] {
+        return Scratch{std::vector<Matrix<double>>(lane_width, Matrix<double>(n, m)),
+                       std::vector<double>(n * lane_width),
+                       std::vector<double>(n * lane_width),
+                       std::vector<double>(lane_width)};
+      },
+      [&](Scratch& s, std::size_t i0, std::size_t end) {
+        const std::size_t lanes = end - i0;
         for (std::size_t l = 0; l < lanes; ++l) {
+          // A realization's full n x m matrix does not depend on the lane it
+          // lands in: the tripped fallback re-dispatches from it.
           Rng rng = root.substream(static_cast<std::uint64_t>(i0 + l));
-          Matrix<double>& r = realized[l];
-          // Full n x m draw in the scalar path's exact order: a realization's
-          // matrix does not depend on the lane it lands in.
+          sample_realized_matrix(instance, rng, s.realized[l]);
           for (std::size_t t = 0; t < n; ++t) {
-            for (std::size_t p = 0; p < m; ++p) {
-              r(t, p) =
-                  sample_realized_duration(rng, instance.bcet(t, p), instance.ul(t, p));
-            }
-          }
-          for (std::size_t t = 0; t < n; ++t) {
-            durations[t * lanes + l] = r(t, assigned_proc[t]);
+            s.durations[t * lanes + l] = s.realized[l](t, assigned_proc[t]);
           }
         }
-        sweep.forward(std::span<const double>(durations).first(n * lanes), lanes,
-                      finish, makespans);
+        sweep.forward(std::span<const double>(s.durations).first(n * lanes), lanes,
+                      s.finish, s.makespans);
         for (std::size_t l = 0; l < lanes; ++l) {
           bool trip = false;
           for (const TaskId t : id_range<TaskId>(n)) {
-            if (finish[t.index() * lanes + l] > planned.finish[t] + slip_budget) {
+            if (s.finish[t.index() * lanes + l] > planned.finish[t] + slip_budget) {
               trip = true;
               break;
             }
           }
           if (!trip) {
-            samples[i0 + l] = makespans[l];
-            tripped[i0 + l] = 0;
+            samples[i0 + l] = s.makespans[l];
             continue;
           }
           const auto run = simulate_hybrid(instance.graph, instance.platform, plan,
-                                           instance.expected, realized[l], threshold);
+                                           instance.expected, s.realized[l], threshold);
           samples[i0 + l] = run.makespan;
           tripped[i0 + l] = run.rescheduled ? 1 : 0;
         }
-      }
-    }
-  } else {
-    const auto total = static_cast<std::int64_t>(config.realizations);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp parallel default(none) \
-    shared(instance, plan, threshold, n, m, total, root, samples, tripped)
-#endif
-    {
-      Matrix<double> realized(n, m);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-      for (std::int64_t i = 0; i < total; ++i) {
-        Rng rng = root.substream(static_cast<std::uint64_t>(i));
-        for (std::size_t t = 0; t < n; ++t) {
-          for (std::size_t p = 0; p < m; ++p) {
-            realized(t, p) =
-                sample_realized_duration(rng, instance.bcet(t, p), instance.ul(t, p));
-          }
-        }
-        // rts-lint: allow(no-scalar-mc-in-loop) — scalar oracle fallback;
-        // simulate_hybrid recompiles the plan and evaluates two full timings
-        // per realization.
-        const auto run = simulate_hybrid(instance.graph, instance.platform, plan,
-                                         instance.expected, realized, threshold);
-        samples[static_cast<std::size_t>(i)] = run.makespan;
-        tripped[static_cast<std::size_t>(i)] = run.rescheduled ? 1 : 0;
-      }
-    }
-  }
+      });
 
-  RunningStats stats;
-  RunningStats tardy;
-  std::size_t misses = 0;
-  std::size_t trips = 0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    stats.add(samples[i]);
-    tardy.add(std::max(0.0, samples[i] - m0) / m0);
-    if (samples[i] > m0) ++misses;
-    trips += tripped[i];
-  }
-  report.mean_realized_makespan = stats.mean();
-  report.stddev_realized_makespan = stats.stddev();
-  report.max_realized_makespan = stats.max();
-  report.p50_realized_makespan = percentile(samples, 50.0);
-  report.p95_realized_makespan = percentile(samples, 95.0);
-  report.p99_realized_makespan = percentile(samples, 99.0);
-  report.mean_tardiness = tardy.mean();
-  report.miss_rate =
-      static_cast<double>(misses) / static_cast<double>(config.realizations);
-  report.r1 = report.mean_tardiness > 0.0
-                  ? std::min(config.reciprocal_cap, 1.0 / report.mean_tardiness)
-                  : config.reciprocal_cap;
-  report.r2 = report.miss_rate > 0.0
-                  ? std::min(config.reciprocal_cap, 1.0 / report.miss_rate)
-                  : config.reciprocal_cap;
   if (rescheduling_rate != nullptr) {
+    std::size_t trips = 0;
+    for (const std::uint8_t t : tripped) trips += t;
     *rescheduling_rate =
         static_cast<double>(trips) / static_cast<double>(config.realizations);
   }
-  if (config.collect_samples) report.samples = std::move(samples);
-  return report;
+  return summarize_makespans(std::move(samples), m0, config.reciprocal_cap,
+                             config.collect_samples);
 }
 
 }  // namespace rts

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#ifdef RTS_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 #include "sched/timing.hpp"
 #include "sim/batched_sweep.hpp"
 #include "sim/realization.hpp"
@@ -13,50 +9,6 @@
 #include "util/stats.hpp"
 
 namespace rts {
-
-namespace {
-
-// Scalar reference sweep over realizations [begin, end): one realization per
-// pass over Gs. Retained as the differential-testing oracle for the batched
-// sweep (tests/sim/test_mc_batched.cpp) and as the `batched = false`
-// fallback. Thread scratch is caller-owned so parallel callers allocate
-// nothing per realization.
-void scalar_sweep_range(const TimingEvaluator& evaluator,
-                        const RealizationSampler& sampler, const Rng& root,
-                        std::size_t begin, std::size_t end,
-                        std::vector<double>& durations,
-                        std::vector<double>& scratch,
-                        std::span<double> samples) {
-  for (std::size_t i = begin; i < end; ++i) {
-    Rng rng = root.substream(static_cast<std::uint64_t>(i));
-    sampler.sample(rng, durations);
-    // rts-lint: allow(no-scalar-mc-in-loop) — this IS the scalar oracle.
-    samples[i] = evaluator.makespan_into(durations, scratch);
-  }
-}
-
-// Batched sweep over realizations [begin, end): up to `lane_width` lanes per
-// pass over Gs. Each realization keeps its own RNG substream and its lane
-// combines exactly the scalar sweep's operands in the same order, so
-// samples[] is bit-identical to scalar_sweep_range for any lane width.
-void batched_sweep_range(const BatchedGsSweep& sweep,
-                         const RealizationSampler& sampler, const Rng& root,
-                         std::size_t begin, std::size_t end,
-                         std::size_t lane_width, std::vector<double>& durations,
-                         std::vector<double>& finish,
-                         std::vector<double>& makespans,
-                         std::span<double> samples) {
-  const std::size_t n = sweep.task_count();
-  for (std::size_t i = begin; i < end; i += lane_width) {
-    const std::size_t lanes = std::min(lane_width, end - i);
-    sampler.sample_lanes(root, static_cast<std::uint64_t>(i), durations, lanes);
-    sweep.forward(std::span<const double>(durations).first(n * lanes), lanes,
-                  finish, makespans);
-    for (std::size_t l = 0; l < lanes; ++l) samples[i + l] = makespans[l];
-  }
-}
-
-}  // namespace
 
 RobustnessReport evaluate_robustness(const ProblemInstance& instance,
                                      const Schedule& schedule,
@@ -66,18 +18,16 @@ RobustnessReport evaluate_robustness(const ProblemInstance& instance,
 
   const TimingEvaluator evaluator(instance.graph, instance.platform, schedule);
   const RealizationSampler sampler(instance, schedule);
-
-  RobustnessReport report;
-  report.realizations = config.realizations;
-  report.expected_makespan = evaluator.makespan(sampler.expected_durations());
-  const double m0 = report.expected_makespan;
+  const double m0 = evaluator.makespan(sampler.expected_durations());
   RTS_ENSURE(m0 > 0.0, "expected makespan must be positive");
 
-  // Realized makespans are computed in parallel into a dense array and then
-  // reduced serially, so the aggregates are bit-identical for a fixed seed
-  // regardless of thread count (each realization has its own RNG substream).
-  // Work is split into blocks of whole lane groups; a block's samples land at
-  // absolute realization indices, so the block size is bitwise-neutral too.
+  // Realized makespans land in a dense array at absolute realization
+  // indices and are reduced serially afterwards. Each pass sweeps up to
+  // `lane_width` realizations through the batched kernel; every lane draws
+  // from its own RNG substream and combines exactly the scalar sweep's
+  // operands in the same order, so samples[] is bit-identical to the
+  // one-realization-per-pass oracle for any lane width, block size and
+  // thread count. Blocks are whole lane groups.
   std::vector<double> samples(config.realizations);
   const Rng root(config.seed);
   const std::size_t lane_width = std::max<std::size_t>(1, config.lane_width);
@@ -85,39 +35,38 @@ RobustnessReport evaluate_robustness(const ProblemInstance& instance,
       config.block_size > 0
           ? ((config.block_size + lane_width - 1) / lane_width) * lane_width
           : std::max<std::size_t>(lane_width, 64);
-  const std::size_t num_blocks = (config.realizations + block - 1) / block;
-  const auto total_blocks = static_cast<std::int64_t>(num_blocks);
   const BatchedGsSweep sweep(evaluator);
 
-#ifdef RTS_HAVE_OPENMP
-  const int num_threads = config.threads > 0
-                              ? static_cast<int>(config.threads)
-                              : omp_get_max_threads();
-#pragma omp parallel num_threads(num_threads) default(none) \
-    shared(config, n, lane_width, block, total_blocks, sweep, sampler, root, \
-               evaluator, samples)
-#endif
-  {
-    std::vector<double> durations(config.batched ? n * lane_width : n);
-    std::vector<double> finish(n * lane_width);
-    std::vector<double> makespans(lane_width);
-    std::vector<double> scratch(config.batched ? 0 : n);
-#ifdef RTS_HAVE_OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (std::int64_t b = 0; b < total_blocks; ++b) {
-      const std::size_t begin = static_cast<std::size_t>(b) * block;
-      const std::size_t end = std::min(config.realizations, begin + block);
-      if (config.batched) {
-        batched_sweep_range(sweep, sampler, root, begin, end, lane_width,
-                            durations, finish, makespans, samples);
-      } else {
-        scalar_sweep_range(evaluator, sampler, root, begin, end, durations,
-                           scratch, samples);
-      }
-    }
-  }
+  struct Scratch {
+    std::vector<double> durations;
+    std::vector<double> finish;
+    std::vector<double> makespans;
+  };
+  for_each_realization_block(
+      config.realizations, block, config.threads,
+      [&] {
+        return Scratch{std::vector<double>(n * lane_width),
+                       std::vector<double>(n * lane_width),
+                       std::vector<double>(lane_width)};
+      },
+      [&](Scratch& s, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; i += lane_width) {
+          const std::size_t lanes = std::min(lane_width, end - i);
+          sampler.sample_lanes(root, static_cast<std::uint64_t>(i), s.durations,
+                               lanes);
+          sweep.forward(std::span<const double>(s.durations).first(n * lanes),
+                        lanes, s.finish, s.makespans);
+          for (std::size_t l = 0; l < lanes; ++l) samples[i + l] = s.makespans[l];
+        }
+      });
 
+  return summarize_makespans(std::move(samples), m0, config.reciprocal_cap,
+                             config.collect_samples);
+}
+
+RobustnessReport summarize_makespans(std::vector<double> samples, double m0,
+                                     double reciprocal_cap, bool keep_samples) {
+  RTS_REQUIRE(!samples.empty(), "need at least one realization");
   RunningStats makespan_stats;
   RunningStats tardiness_stats;
   std::size_t misses = 0;
@@ -132,6 +81,9 @@ RobustnessReport evaluate_robustness(const ProblemInstance& instance,
   std::vector<double> sorted(samples);
   std::sort(sorted.begin(), sorted.end());
 
+  RobustnessReport report;
+  report.realizations = samples.size();
+  report.expected_makespan = m0;
   report.mean_realized_makespan = makespan_stats.mean();
   report.stddev_realized_makespan = makespan_stats.stddev();
   report.max_realized_makespan = makespan_stats.max();
@@ -140,14 +92,14 @@ RobustnessReport evaluate_robustness(const ProblemInstance& instance,
   report.p99_realized_makespan = percentile_sorted(sorted, 99.0);
   report.mean_tardiness = tardiness_stats.mean();
   report.miss_rate =
-      static_cast<double>(misses) / static_cast<double>(config.realizations);
+      static_cast<double>(misses) / static_cast<double>(samples.size());
   report.r1 = report.mean_tardiness > 0.0
-                  ? std::min(config.reciprocal_cap, 1.0 / report.mean_tardiness)
-                  : config.reciprocal_cap;
+                  ? std::min(reciprocal_cap, 1.0 / report.mean_tardiness)
+                  : reciprocal_cap;
   report.r2 = report.miss_rate > 0.0
-                  ? std::min(config.reciprocal_cap, 1.0 / report.miss_rate)
-                  : config.reciprocal_cap;
-  if (config.collect_samples) report.samples = std::move(samples);
+                  ? std::min(reciprocal_cap, 1.0 / report.miss_rate)
+                  : reciprocal_cap;
+  if (keep_samples) report.samples = std::move(samples);
   return report;
 }
 

@@ -37,18 +37,14 @@ struct MonteCarloConfig {
   /// (per-realization RNG substreams; see the header comment), so this is a
   /// pure performance knob. Ignored when built without OpenMP.
   std::size_t threads = 0;
-  /// Use the lane-blocked batched sweep (sim/batched_sweep): `lane_width`
-  /// realizations advance per pass over the edges of Gs, with contiguous
-  /// SIMD-friendly lane rows. Lanes never interact, so results are
-  /// bit-identical to the scalar sweep (`batched = false`, retained as the
-  /// differential-testing oracle) for every lane width and block size —
-  /// all three are pure performance knobs.
-  bool batched = true;
-  /// Realizations per sweep pass. Widths 4/8/16/32 hit the fixed-width
-  /// register-blocked kernels (sim/batched_sweep); other widths fall back
-  /// to a generic lane loop with identical results. Keep it moderate: the
-  /// finish working set is task_count * lane_width doubles and should stay
-  /// cache-resident. 32 measures fastest on AVX-512 cores (four
+  /// Realizations per pass of the lane-blocked sweep (sim/batched_sweep).
+  /// Lanes never interact, so the report is bit-identical for every lane
+  /// width and block size — both are pure performance knobs, checked
+  /// against the one-realization-per-pass oracle in tests/sim. Widths
+  /// 4/8/16/32 hit the fixed-width register-blocked kernels; other widths
+  /// fall back to a generic lane loop with identical results. Keep it
+  /// moderate: the finish working set is task_count * lane_width doubles
+  /// and should stay cache-resident. 32 measures fastest on AVX-512 cores (four
   /// accumulator registers per row pipeline the max/+ chain) while the
   /// working set stays L1-resident for paper-scale graphs.
   std::size_t lane_width = 32;
@@ -82,5 +78,13 @@ struct RobustnessReport {
 RobustnessReport evaluate_robustness(const ProblemInstance& instance,
                                      const Schedule& schedule,
                                      const MonteCarloConfig& config);
+
+/// Reduce realized makespans `samples` (realization order) against the
+/// expected makespan `m0` into a report: moments, quantiles, E[δ], α, and
+/// R1/R2 capped at `reciprocal_cap`. Keeps the samples in the report when
+/// `keep_samples`. The reduction is serial in realization order, so it is
+/// bit-identical for a given sample vector.
+RobustnessReport summarize_makespans(std::vector<double> samples, double m0,
+                                     double reciprocal_cap, bool keep_samples);
 
 }  // namespace rts

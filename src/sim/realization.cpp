@@ -75,6 +75,20 @@ RealizationSampler::RealizationSampler(const ProblemInstance& instance,
   }
 }
 
+void sample_realized_matrix(const ProblemInstance& instance, Rng& rng,
+                            Matrix<double>& realized) {
+  const std::size_t n = instance.task_count();
+  const std::size_t m = instance.proc_count();
+  RTS_REQUIRE(realized.rows() == n && realized.cols() == m,
+              "realized matrix has wrong shape");
+  for (std::size_t t = 0; t < n; ++t) {
+    for (std::size_t p = 0; p < m; ++p) {
+      realized(t, p) =
+          sample_realized_duration(rng, instance.bcet(t, p), instance.ul(t, p));
+    }
+  }
+}
+
 void RealizationSampler::sample(Rng& rng, std::span<double> durations) const {
   RTS_REQUIRE(durations.size() == bcet_.size(), "duration buffer has wrong size");
   for (std::size_t t = 0; t < bcet_.size(); ++t) {

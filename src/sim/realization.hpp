@@ -4,11 +4,24 @@
 // graph is executed in the real resource environment according to the
 // schedule"). The realized duration of task i on its assigned processor p is
 // U(b_ip, (2*UL_ip - 1) * b_ip); transfer rates do not vary (Section 3.1).
+//
+// Every Monte-Carlo estimator draws realization i from `root.substream(i)`
+// and writes its result at index i, so it can run its sweep through
+// for_each_realization_block below and stay bit-identical for any thread
+// count and block size.
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#ifdef RTS_HAVE_OPENMP
+#include <omp.h>
+#endif
+
 #include "sched/schedule.hpp"
+#include "util/error.hpp"
+#include "util/matrix.hpp"
 #include "util/rng.hpp"
 #include "workload/problem.hpp"
 
@@ -54,5 +67,47 @@ class RealizationSampler {
   std::vector<double> ul_;
   std::vector<double> expected_;
 };
+
+/// Fill the full n x m realized-duration matrix of `instance` from `rng`,
+/// row-major in (task, processor) order — the draw the online policies
+/// (dynamic EFT, hybrid re-dispatch, rescheduling) need, since they may run
+/// a task on any processor. `realized` must already be n x m.
+void sample_realized_matrix(const ProblemInstance& instance, Rng& rng,
+                            Matrix<double>& realized);
+
+/// The one realization sweep driver. Splits [0, count) into blocks of
+/// `block` indices (the last one may be short) and calls
+/// `body(scratch, begin, end)` once per block, statically spread over
+/// `threads` OpenMP threads (0 = the runtime default; ignored without
+/// OpenMP). Each thread builds its scratch once with `make_scratch()` and
+/// reuses it for all its blocks, so the sweep allocates nothing per
+/// realization. Bodies must write results only at their own indices; then
+/// the output does not depend on the thread count or the block size.
+template <class MakeScratch, class Body>
+void for_each_realization_block(std::size_t count, std::size_t block,
+                                std::size_t threads,
+                                const MakeScratch& make_scratch,
+                                const Body& body) {
+  RTS_REQUIRE(block > 0, "realization block size must be positive");
+  const auto total_blocks = static_cast<std::int64_t>((count + block - 1) / block);
+#ifdef RTS_HAVE_OPENMP
+  const int num_threads =
+      threads > 0 ? static_cast<int>(threads) : omp_get_max_threads();
+#pragma omp parallel num_threads(num_threads) default(none) \
+    shared(count, block, total_blocks, make_scratch, body)
+#else
+  (void)threads;
+#endif
+  {
+    auto scratch = make_scratch();
+#ifdef RTS_HAVE_OPENMP
+#pragma omp for schedule(static)
+#endif
+    for (std::int64_t b = 0; b < total_blocks; ++b) {
+      const std::size_t begin = static_cast<std::size_t>(b) * block;
+      body(scratch, begin, std::min(count, begin + block));
+    }
+  }
+}
 
 }  // namespace rts

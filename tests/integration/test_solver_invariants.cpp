@@ -23,6 +23,11 @@ struct SolverCase {
                                                     std::uint64_t seed);
 };
 
+// gtest's default printer dumps the raw bytes of the two pointers, which
+// change with address-space randomisation and so made the listed test names
+// differ on every run. Print the case name instead.
+void PrintTo(const SolverCase& c, std::ostream* os) { *os << c.name; }
+
 std::tuple<Chromosome, Evaluation, double> run_ga_epsilon(const ProblemInstance& inst,
                                                           std::uint64_t seed) {
   GaConfig config;

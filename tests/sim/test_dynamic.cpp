@@ -115,14 +115,18 @@ TEST(DynamicEftEvaluation, BitIdenticalAcrossThreadCounts) {
   MonteCarloConfig config;
   config.realizations = 64;
   config.seed = 17;
+  config.collect_samples = true;
   config.threads = 1;
   const auto serial = evaluate_dynamic_eft(instance, config);
-  config.threads = 3;
-  const auto parallel = evaluate_dynamic_eft(instance, config);
-  EXPECT_EQ(serial.mean_realized_makespan, parallel.mean_realized_makespan);
-  EXPECT_EQ(serial.p95_realized_makespan, parallel.p95_realized_makespan);
-  EXPECT_EQ(serial.miss_rate, parallel.miss_rate);
-  EXPECT_EQ(serial.r1, parallel.r1);
+  for (const std::size_t threads : {2u, 8u}) {
+    config.threads = threads;
+    const auto parallel = evaluate_dynamic_eft(instance, config);
+    EXPECT_EQ(serial.samples, parallel.samples) << "threads=" << threads;
+    EXPECT_EQ(serial.mean_realized_makespan, parallel.mean_realized_makespan);
+    EXPECT_EQ(serial.p95_realized_makespan, parallel.p95_realized_makespan);
+    EXPECT_EQ(serial.miss_rate, parallel.miss_rate);
+    EXPECT_EQ(serial.r1, parallel.r1);
+  }
 }
 
 TEST(DynamicEft, RejectsShapeMismatches) {

@@ -1,8 +1,8 @@
 // Differential tests of the batched lane-blocked Monte-Carlo sweeps
-// (sim/batched_sweep) against the retained scalar oracles. The batched
-// kernels promise BIT-identical results for every lane width, block size and
-// thread count — every comparison here is EXPECT_EQ on doubles, never
-// EXPECT_NEAR.
+// (sim/batched_sweep) against the scalar oracles in scalar_oracle.hpp. The
+// batched kernels promise BIT-identical results for every lane width, block
+// size and thread count — every comparison here is EXPECT_EQ on doubles,
+// never EXPECT_NEAR.
 
 #include <cstdint>
 #include <vector>
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "scalar_oracle.hpp"
 #include "sched/random_scheduler.hpp"
 #include "sim/batched_sweep.hpp"
 #include "workload/uncertainty.hpp"
@@ -35,9 +36,7 @@ RobustnessReport scalar_reference(const SeededCase& c, std::size_t realizations)
   MonteCarloConfig config;
   config.realizations = realizations;
   config.collect_samples = true;
-  config.batched = false;
-  config.threads = 1;
-  return evaluate_robustness(c.instance, c.schedule, config);
+  return oracle::scalar_robustness(c.instance, c.schedule, config);
 }
 
 void expect_reports_identical(const RobustnessReport& a, const RobustnessReport& b) {
@@ -68,7 +67,6 @@ TEST(McBatched, BitIdenticalToScalarAcrossLanesThreadsAndInstances) {
         MonteCarloConfig config;
         config.realizations = 101;
         config.collect_samples = true;
-        config.batched = true;
         config.lane_width = lanes;
         config.threads = threads;
         const auto batched = evaluate_robustness(c.instance, c.schedule, config);
@@ -110,9 +108,7 @@ TEST(McBatched, ReciprocalCapPathMatchesScalar) {
   config.realizations = 200;
   config.collect_samples = true;
   config.reciprocal_cap = 1e7;
-  config.batched = false;
-  const auto scalar = evaluate_robustness(c.instance, c.schedule, config);
-  config.batched = true;
+  const auto scalar = oracle::scalar_robustness(c.instance, c.schedule, config);
   const auto batched = evaluate_robustness(c.instance, c.schedule, config);
   expect_reports_identical(scalar, batched);
   EXPECT_EQ(batched.r1, 1e7);
@@ -157,9 +153,7 @@ TEST(McBatched, SingleTaskAndSingleRealizationEdgeCases) {
   config.realizations = 3;
   config.collect_samples = true;
   config.lane_width = 16;
-  config.batched = false;
-  const auto scalar = evaluate_robustness(instance, schedule, config);
-  config.batched = true;
+  const auto scalar = oracle::scalar_robustness(instance, schedule, config);
   const auto batched = evaluate_robustness(instance, schedule, config);
   expect_reports_identical(scalar, batched);
 }
@@ -241,10 +235,8 @@ TEST(McBatched, CriticalityBatchedMatchesScalar) {
     const SeededCase c = make_case(seed);
     CriticalityConfig config;
     config.realizations = 200;
-    config.batched = false;
-    const auto scalar = analyze_criticality(c.instance, c.schedule, config);
+    const auto scalar = oracle::scalar_criticality(c.instance, c.schedule, config);
     for (const std::size_t lanes : {1u, 4u, 8u, 16u}) {
-      config.batched = true;
       config.lane_width = lanes;
       const auto batched = analyze_criticality(c.instance, c.schedule, config);
       EXPECT_EQ(scalar.criticality_index, batched.criticality_index);
@@ -261,24 +253,25 @@ TEST(McBatched, HybridBatchedMatchesScalar) {
   for (const std::uint64_t seed : {41u, 42u}) {
     const SeededCase c = make_case(seed);
     // Tight threshold so a healthy share of realizations actually trips the
-    // re-dispatch (exercising the scalar fallback inside the batched path)
+    // re-dispatch (exercising the per-lane fallback inside the batched path)
     // while the rest take the batched static fast path.
     for (const double threshold : {0.02, 0.5}) {
       MonteCarloConfig config;
       config.realizations = 150;
       config.collect_samples = true;
-      config.batched = false;
       double scalar_rate = 0.0;
-      const auto scalar =
-          evaluate_hybrid(c.instance, c.schedule, threshold, config, &scalar_rate);
+      const auto scalar = oracle::scalar_hybrid(c.instance, c.schedule, threshold,
+                                                config, &scalar_rate);
       for (const std::size_t lanes : {1u, 8u}) {
-        config.batched = true;
-        config.lane_width = lanes;
-        double batched_rate = 0.0;
-        const auto batched =
-            evaluate_hybrid(c.instance, c.schedule, threshold, config, &batched_rate);
-        expect_reports_identical(scalar, batched);
-        EXPECT_EQ(scalar_rate, batched_rate);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          config.lane_width = lanes;
+          config.threads = threads;
+          double batched_rate = 0.0;
+          const auto batched = evaluate_hybrid(c.instance, c.schedule, threshold,
+                                               config, &batched_rate);
+          expect_reports_identical(scalar, batched);
+          EXPECT_EQ(scalar_rate, batched_rate);
+        }
       }
     }
   }

@@ -37,8 +37,9 @@ docs/testing.md, "Static analysis"):
                      call) inside a loop body in src/sim/ or src/resched/ —
                      Monte-Carlo loops must go through the lane-blocked
                      batched kernels (sim/batched_sweep), which are
-                     bit-identical and several times faster; the retained
-                     scalar-oracle paths carry allow() markers.
+                     bit-identical and several times faster; the scalar
+                     oracle lives in tests/sim, and per-event timings in
+                     src/resched carry allow() markers.
 
 Escape hatch: a `// rts-lint: allow(<rule>)` comment on the offending line,
 or alone on the line directly above it, suppresses that rule for that line
