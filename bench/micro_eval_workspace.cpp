@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < opts.evals; ++k) {
     const Chromosome& c = candidates[k % kCandidates];
     const Schedule schedule = decode(c, opts.procs);
-    const ScheduleTiming timing =  // rts-lint: allow(no-evaluator-in-loop)
+    const ScheduleTiming timing =
         compute_schedule_timing(instance.graph, instance.platform, schedule,
                                 instance.expected);
     oneshot_checksum += timing.makespan + timing.average_slack;

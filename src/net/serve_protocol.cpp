@@ -40,6 +40,19 @@ void append_string(std::ostringstream& os, std::string_view text) {
   os << '"';
 }
 
+/// An integer field checked against [lo, hi] before the caller narrows it:
+/// `--realizations -1` must fail in-band, not become SIZE_MAX samples.
+std::int64_t get_int_within(const Options& opts, const std::string& key,
+                            std::int64_t def, std::int64_t lo, std::int64_t hi) {
+  const std::int64_t value = opts.get_int(key, def);
+  if (value < lo || value > hi) {
+    throw InvalidArgument("option --" + key + ": " + std::to_string(value) +
+                          " is outside [" + std::to_string(lo) + ", " +
+                          std::to_string(hi) + "]");
+  }
+  return value;
+}
+
 }  // namespace
 
 std::optional<std::string_view> strip_request_line(std::string_view line) {
@@ -76,20 +89,24 @@ ParsedRequest parse_request_line(std::string_view line, ProblemCache& problems) 
               "request line needs exactly one problem file, got: " +
                   std::string(line));
 
+  constexpr std::int64_t kCountMax = std::numeric_limits<std::int64_t>::max();
   ParsedRequest parsed;
   parsed.problem_path = opts.positional().front();
-  parsed.request.problem = problems.load(parsed.problem_path);
   parsed.request.config.ga.epsilon = opts.get_double("epsilon", 1.0);
-  parsed.request.config.ga.max_iterations =
-      static_cast<std::size_t>(opts.get_int("iters", 1000));
+  parsed.request.config.ga.max_iterations = static_cast<std::size_t>(
+      get_int_within(opts, "iters", 1000, 0, kCountMax));
   parsed.request.config.ga.seed =
       static_cast<std::uint64_t>(opts.get_int("seed", 1));
-  parsed.request.config.mc.realizations =
-      static_cast<std::size_t>(opts.get_int("realizations", 1000));
+  parsed.request.config.mc.realizations = static_cast<std::size_t>(
+      get_int_within(opts, "realizations", 1000, 0, kCountMax));
   parsed.request.config.mc.seed =
       static_cast<std::uint64_t>(opts.get_int("mc-seed", 42));
   parsed.request.config.stochastic_objective = opts.get_bool("stochastic", false);
-  parsed.request.priority = static_cast<int>(opts.get_int("priority", 0));
+  parsed.request.priority = static_cast<int>(
+      get_int_within(opts, "priority", 0, std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max()));
+  // Every field is checked before the problem file is touched.
+  parsed.request.problem = problems.load(parsed.problem_path);
   return parsed;
 }
 

@@ -55,8 +55,9 @@ struct ParsedRequest {
 };
 
 /// Parse one *stripped* request line (strip_request_line returned a
-/// payload). Throws InvalidArgument on malformed lines and propagates
-/// problem-file load failures.
+/// payload). Throws InvalidArgument on malformed lines — including a
+/// negative --iters/--realizations or a --priority outside int — and
+/// propagates problem-file load failures.
 [[nodiscard]] ParsedRequest parse_request_line(std::string_view line,
                                                ProblemCache& problems);
 

@@ -43,7 +43,7 @@ void Platform::set_symmetric_rate(ProcId a, ProcId b, double rate) {
 double Platform::comm_cost(double data, ProcId from, ProcId to) const {
   check_pair(from, to);
   RTS_REQUIRE(data >= 0.0, "data size must be non-negative");
-  // rts-lint: allow(no-float-eq) — zero data means no transfer, exactly.
+  // rts-analyze: allow(no-float-eq) — zero data means no transfer, exactly.
   if (from == to || data == 0.0) return 0.0;
   return data / rates_(from.index(), to.index());
 }
@@ -63,7 +63,7 @@ double Platform::average_transfer_rate() const {
 double Platform::average_comm_cost(double data) const {
   RTS_REQUIRE(data >= 0.0, "data size must be non-negative");
   const std::size_t m = proc_count();
-  // rts-lint: allow(no-float-eq) — zero data means no transfer, exactly.
+  // rts-analyze: allow(no-float-eq) — zero data means no transfer, exactly.
   if (m == 1 || data == 0.0) return 0.0;
   // Average of data/rate over ordered pairs (harmonic in the rates), which is
   // the exact expectation of the cost over a uniformly random distinct pair.

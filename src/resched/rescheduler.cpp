@@ -146,12 +146,11 @@ ReschedRunResult run_online_reschedule(const ProblemInstance& instance,
     const IdVector<TaskId, double> edur =
         live_durations(instance.expected, cur, frozen, dropped);
     // One replay per event, not a realization loop: each iteration's partial
-    // schedule differs. rts-lint: allow(no-scalar-mc-in-loop)
+    // schedule differs.
     const ScheduleTiming actual = partial_timing(graph, platform, part, rdur);
 
     double tstar = std::numeric_limits<double>::infinity();
     if (result.resolves < config.max_resolves) {
-      // rts-lint: allow(no-scalar-mc-in-loop) — per-event trigger check.
       const ScheduleTiming predicted = partial_timing(graph, platform, part, edur);
       tstar = find_trigger(config, instance, part, actual, predicted, planned_makespan);
     }
@@ -196,7 +195,6 @@ ReschedRunResult run_online_reschedule(const ProblemInstance& instance,
                                 frozen_start, frozen_finish, decision_time};
     const IdVector<TaskId, double> edur2 =
         live_durations(instance.expected, cur, frozen, dropped);
-    // rts-lint: allow(no-scalar-mc-in-loop) — per-event incumbent timing.
     const ScheduleTiming predicted2 = partial_timing(graph, platform, part2, edur2);
     ReschedDecisionRecord rec;
     rec.trigger = config.trigger;
@@ -206,7 +204,6 @@ ReschedRunResult run_online_reschedule(const ProblemInstance& instance,
     if (instance.has_deadlines() && config.drop != DropPolicyKind::kNever) {
       const IdVector<TaskId, double> bdur2 =
           live_durations(instance.bcet, cur, frozen, dropped);
-      // rts-lint: allow(no-scalar-mc-in-loop) — per-event BCET bound.
       const ScheduleTiming optimistic = partial_timing(graph, platform, part2, bdur2);
       Matrix<double> samples;
       if (config.drop == DropPolicyKind::kProbabilistic) {
@@ -364,7 +361,6 @@ ReschedRunResult run_online_reschedule(const ProblemInstance& instance,
                                   frozen_start, frozen_finish, decision_time};
     rec.frozen = revised.frozen_count();
     rec.resolved_makespan =
-        // rts-lint: allow(no-scalar-mc-in-loop) — per-event record keeping.
         partial_timing(graph, platform, revised, edur3).makespan;
     result.decisions.push_back(std::move(rec));
 

@@ -64,7 +64,7 @@ class Schedule {
 
 /// Incremental assembler of per-processor sequences — the supported way to
 /// construct a Schedule from dispatch-style code outside src/sched and
-/// src/resched (enforced by rts_lint's no-raw-schedule rule). Append tasks
+/// src/resched (enforced by rts_analyze's no-raw-schedule rule). Append tasks
 /// in execution order per processor, then build() validates the placement
 /// invariants exactly like the Schedule constructor.
 class ScheduleBuilder {

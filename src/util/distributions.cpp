@@ -63,7 +63,7 @@ double sample_gamma(Rng& rng, double shape, double scale) {
   // Boost: Gamma(k) = Gamma(k+1) * U^(1/k) for k < 1.
   const double g = gamma_core(rng, shape + 1.0);
   double u = rng.next_double();
-  // rts-lint: allow(no-float-eq) — exact-zero guard before log/pow.
+  // rts-analyze: allow(no-float-eq) — exact-zero guard before log/pow.
   while (u == 0.0) u = rng.next_double();
   return scale * g * std::pow(u, 1.0 / shape);
 }
@@ -71,7 +71,7 @@ double sample_gamma(Rng& rng, double shape, double scale) {
 double sample_exponential(Rng& rng, double lambda) {
   RTS_REQUIRE(lambda > 0.0, "exponential rate must be positive");
   double u = rng.next_double();
-  // rts-lint: allow(no-float-eq) — exact-zero guard before log/pow.
+  // rts-analyze: allow(no-float-eq) — exact-zero guard before log/pow.
   while (u == 0.0) u = rng.next_double();
   return -std::log(u) / lambda;
 }
@@ -84,7 +84,7 @@ bool sample_bernoulli(Rng& rng, double p) {
 double sample_gamma_mean_cov(Rng& rng, double mean, double cov) {
   RTS_REQUIRE(mean > 0.0, "gamma mean must be positive");
   RTS_REQUIRE(cov >= 0.0, "coefficient of variation must be non-negative");
-  // rts-lint: allow(no-float-eq) — cov==0 selects the degenerate case.
+  // rts-analyze: allow(no-float-eq) — cov==0 selects the degenerate case.
   if (cov == 0.0) return mean;
   const double shape = 1.0 / (cov * cov);
   const double scale = mean * cov * cov;

@@ -55,7 +55,6 @@ void log_emit(LogLevel level, const std::string& message) {
   // is never on the hot path.
   static Mutex mu;
   const LockGuard lock(mu);
-  // rts-lint: allow(no-iostream-in-lib) — this IS the logging sink.
   std::clog << "[rts:" << level_name(level) << "] " << message << '\n';
 }
 }  // namespace detail

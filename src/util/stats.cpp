@@ -97,7 +97,7 @@ double pearson_correlation(std::span<const double> xs, std::span<const double> y
     sxx += dx * dx;
     syy += dy * dy;
   }
-  // rts-lint: allow(no-float-eq) — degenerate variance sentinel.
+  // rts-analyze: allow(no-float-eq) — degenerate variance sentinel.
   if (sxx == 0.0 || syy == 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
 }

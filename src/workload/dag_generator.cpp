@@ -84,7 +84,7 @@ TaskGraph generate_random_dag(const DagGeneratorParams& params, const Platform& 
                                : params.ccr * params.avg_comp_cost * avg_rate;
 
   const auto draw_data = [&]() {
-    // rts-lint: allow(no-float-eq) — exact-zero mean disables data flow.
+    // rts-analyze: allow(no-float-eq) — exact-zero mean disables data flow.
     return mean_data == 0.0 ? 0.0 : sample_uniform(rng, 0.0, 2.0 * mean_data);
   };
 

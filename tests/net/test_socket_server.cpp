@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 
 #include "../test_helpers.hpp"
 #include "net/serve_server.hpp"
+#include "util/error.hpp"
 #include "workload/serialization.hpp"
 
 namespace rts {
@@ -251,6 +253,63 @@ TEST(SocketServer, OverlongLineFailsAndConnectionRecovers) {
   EXPECT_NE(got[0].find("\"status\":\"failed\""), std::string::npos);
   EXPECT_NE(got[0].find("128-byte limit"), std::string::npos);
   EXPECT_NE(got[1].find("\"status\":\"ok\""), std::string::npos);
+}
+
+TEST(SocketServer, OutOfRangeRequestFieldsFailInBand) {
+  // Fields that a narrowing cast would silently wrap or truncate.
+  struct Case {
+    const char* fields;
+    const char* option;
+  };
+  const std::vector<Case> cases = {
+      {"--iters -1", "--iters"},
+      {"--realizations -1", "--realizations"},
+      {"--realizations -9223372036854775808", "--realizations"},
+      {"--priority 4294967297", "--priority"},
+      {"--priority -2147483649", "--priority"},
+  };
+  const ProblemFile problem;
+  ProblemCache problems;
+  std::string block;
+  for (const Case& c : cases) {
+    const std::string line = problem.path + " " + c.fields;
+    block += line + "\n";
+    try {
+      (void)parse_request_line(line, problems);
+      ADD_FAILURE() << "accepted: " << c.fields;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.option), std::string::npos)
+          << e.what();
+    }
+  }
+  ASSERT_FALSE(::testing::Test::HasFailure());
+
+  // The bounds themselves are accepted unchanged.
+  const ParsedRequest edge = parse_request_line(
+      problem.path + " --iters 0 --realizations 0 --priority -2147483648",
+      problems);
+  EXPECT_EQ(edge.request.config.ga.max_iterations, 0u);
+  EXPECT_EQ(edge.request.config.mc.realizations, 0u);
+  EXPECT_EQ(edge.request.priority, std::numeric_limits<int>::min());
+  EXPECT_EQ(parse_request_line(problem.path + " --priority 2147483647", problems)
+                .request.priority,
+            std::numeric_limits<int>::max());
+
+  // Over the socket: one failure line per rejected request, same bytes as
+  // batch mode, and the connection keeps serving.
+  block += problem.path + " --iters 10 --realizations 20\n";
+  const std::vector<std::string> expected = batch_reference(split_lines(block));
+  Harness harness;
+  Client client(harness.server->port());
+  client.send_all(block);
+  client.shutdown_write();
+  const std::vector<std::string> got = split_lines(client.read_until_eof());
+  EXPECT_EQ(got, expected);
+  ASSERT_EQ(got.size(), cases.size() + 1);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_NE(got[i].find("\"status\":\"failed\""), std::string::npos) << got[i];
+  }
+  EXPECT_NE(got.back().find("\"status\":\"ok\""), std::string::npos);
 }
 
 TEST(SocketServer, ZeroQuotaRejectsEveryRequest) {

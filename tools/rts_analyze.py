@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""rts_analyze — determinism & concurrency static analysis for the rts tree.
+"""rts_analyze — the static analyzer for the rts tree.
 
-Where tools/rts_lint.py matches single lines, rts_analyze builds a structural
-model of every translation unit — a scope tree (namespaces, classes,
-functions, lambdas, loops, OpenMP regions), per-scope symbol tables, member
-tables with Clang-TSA annotations, and an OpenMP pragma model — and enforces
-the project's *determinism* invariants, the ones that keep schedules and
-Monte-Carlo statistics bit-identical across lane widths, thread counts and
-ISAs (docs/testing.md, "Static analysis"):
+One walk, one escape hatch, one baseline and one self-test carry two tiers of
+rules (docs/testing.md, "Static analysis").
+
+The structural tier builds a model of every translation unit — a scope tree
+(namespaces, classes, functions, lambdas, loops, OpenMP regions), per-scope
+symbol tables, member tables with Clang-TSA annotations, and an OpenMP pragma
+model — and enforces the project's *determinism* invariants, the ones that
+keep schedules and Monte-Carlo statistics bit-identical across lane widths,
+thread counts and ISAs:
 
   nondet-container-iteration
       range-for / iterator loops over std::unordered_map/set whose body has
@@ -24,8 +26,9 @@ ISAs (docs/testing.md, "Static analysis"):
   rng-discipline
       all random draws flow through rts::Rng / RealizationSampler xoshiro
       substreams keyed by logical indices. std::random_device, rand()/srand(),
-      std:: engines, time()/clock()/now()-derived seeds and thread-id-
-      dependent seeds (omp_get_thread_num, this_thread::get_id) are errors.
+      std:: engines and distributions, time()/clock()/now()-derived seeds and
+      thread-id-dependent seeds (omp_get_thread_num, this_thread::get_id) are
+      errors outside util/rng and util/distributions.
   fp-accumulation-order
       double/float compound accumulation (or std::accumulate) whose operand
       order is not provably fixed: accumulation inside unordered-container
@@ -65,6 +68,42 @@ strict in the id-disciplined directories src/{graph,sched,sim,ga}:
       kernels; hoist buffers into the surrounding workspace
       (EvalWorkspace, BatchedGsSweep scratch) and reuse them.
 
+The lexical tier is one regex per rule over comment/string-stripped code,
+scoped by path. The two loop rules fire only inside a loop body: a loop scope
+of the structural model, a loop header, or a braceless `for (...) stmt;` body.
+
+  no-iostream-in-lib
+      std::cout/cerr/clog or printf-family writes in library code under src/
+      (util/log.cpp, the sink itself, excepted) — libraries report through
+      util/log (RTS_LOG_*) so verbosity stays centrally controlled.
+  no-float-eq
+      == / != against a floating-point literal — compare through the
+      1e-9-epsilon helpers; exact equality is almost never what a scheduling
+      metric means.
+  pragma-once
+      every header's first directive must be #pragma once.
+  no-naked-new
+      naked new expressions — ownership must be expressed with
+      std::make_unique/make_shared or containers.
+  no-sleep-in-tests
+      std::this_thread::sleep_for/until in tests/ — sleep-based
+      synchronization is flaky by construction; use condition variables,
+      futures or joins.
+  no-evaluator-in-loop
+      TimingEvaluator construction (or the one-shot compute_schedule_timing/
+      compute_makespan helpers, which construct one internally) inside a loop
+      body in src/ga/ — solver hot loops hoist an EvalWorkspace (ga/eval.hpp)
+      or a TimingEvaluator and rebuild() per candidate.
+  no-raw-schedule
+      raw Schedule(...) construction in src/ outside src/sched and
+      src/resched — placements come from the builders/decoders that establish
+      the permutation-per-processor invariant by construction.
+  no-scalar-mc-in-loop
+      per-realization scalar timing sweeps (makespan_into, full_timing,
+      partial_timing, compute_* or a .makespan() call) inside a loop body in
+      src/sim/ — Monte-Carlo loops go through the lane-blocked batched kernels
+      (sim/batched_sweep); the scalar oracle lives in tests/sim.
+
 Frontends: with the Python libclang bindings installed (clang.cindex — CI
 pins python3-clang-14; see CONTRIBUTING.md) the analyzer parses each TU from
 compile_commands.json and uses the real AST to resolve declared types (auto,
@@ -75,15 +114,16 @@ resolution.
 
 Escape hatches: a `// rts-analyze: allow(<rule>) — reason` comment on the
 offending line (or alone on the line directly above, or on the enclosing
-loop header for loop-body findings) suppresses that rule there. Intentional,
-reviewed suppressions that should not live inline go into the checked-in
-baseline file (tools/rts_analyze_baseline.txt): `path:rule` suppresses a
-rule for a whole file, `path:line:rule` one site. Stale baseline entries are
-*errors* (exit 1) so the file cannot rot: a fixed finding must take its
-suppression with it.
+loop header for loop-body findings; on the first line for pragma-once)
+suppresses that rule there. Intentional, reviewed suppressions that should
+not live inline go into the checked-in baseline file
+(tools/rts_analyze_baseline.txt): `path:rule` suppresses a rule for a whole
+file, `path:line:rule` one site. Stale baseline entries are *errors* (exit 1)
+so the file cannot rot: a fixed finding must take its suppression with it.
 
 Usage:
-  tools/rts_analyze.py [paths...]            # default: src
+  tools/rts_analyze.py [paths...]    # default: src apps bench tests
+                                     #          examples tools
       [-p BUILD_DIR | --compile-commands FILE]
       [--frontend auto|libclang|internal]    # default: auto
       [--baseline FILE] [--output FILE] [--json FILE]
@@ -104,29 +144,87 @@ HEADER_SUFFIXES = {".hpp", ".hh", ".h"}
 
 ALLOW_RE = re.compile(r"rts-analyze:\s*allow\(([A-Za-z0-9_-]+)\)")
 
+
+class Rule:
+    """One analyzer rule. Structural rules (no pattern) are matched by the
+    FileModel._rule_* methods. Lexical rules are one regex over the stripped
+    code of the files whose repo-relative path parts satisfy `applies`; with
+    loop_only they fire only inside a loop body."""
+
+    __slots__ = ("message", "pattern", "applies", "loop_only")
+
+    def __init__(self, message, pattern=None, applies=lambda parts: True,
+                 loop_only=False):
+        self.message = message
+        self.pattern = re.compile(pattern) if pattern else None
+        self.applies = applies
+        self.loop_only = loop_only
+
+
+FLOAT_LIT = (r"(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+             r"|\d+[eE][+-]?\d+)[fFlL]?")
+
 RULES = {
-    "nondet-container-iteration":
+    # Structural tier.
+    "nondet-container-iteration": Rule(
         "iteration over an unordered container with order-sensitive effects; "
-        "iterate indices or a sorted snapshot instead",
-    "omp-discipline":
-        "OpenMP data-sharing discipline violation",
-    "rng-discipline":
-        "randomness outside rts::Rng substream discipline",
-    "fp-accumulation-order":
+        "iterate indices or a sorted snapshot instead"),
+    "omp-discipline": Rule("OpenMP data-sharing discipline violation"),
+    "rng-discipline": Rule("randomness outside rts::Rng substream discipline"),
+    "fp-accumulation-order": Rule(
         "floating-point accumulation whose operand order is not provably "
-        "fixed; use per-index lanes + an ordered serial merge",
-    "tsa-coverage":
+        "fixed; use per-index lanes + an ordered serial merge"),
+    "tsa-coverage": Rule(
         "RTS_GUARDED_BY member accessed without holding its mutex "
-        "(LockGuard/UniqueLock, RTS_REQUIRES, or assert_held)",
-    "index-domain":
+        "(LockGuard/UniqueLock, RTS_REQUIRES, or assert_held)"),
+    "index-domain": Rule(
         "id-indexed container subscripted outside its id domain "
-        "(raw integer index or .value() laundering)",
-    "narrowing-overflow":
+        "(raw integer index or .value() laundering)"),
+    "narrowing-overflow": Rule(
         "implicit 64-to-32 narrowing or 32-bit multiply of count-typed "
-        "operands feeding a 64-bit offset",
-    "alloc-in-hot-loop":
+        "operands feeding a 64-bit offset"),
+    "alloc-in-hot-loop": Rule(
         "allocation inside a per-realization/per-evaluation loop; hoist "
-        "the buffer into a reused workspace",
+        "the buffer into a reused workspace"),
+    # Lexical tier.
+    "no-iostream-in-lib": Rule(
+        "direct stream write in library code; use RTS_LOG_* (util/log)",
+        r"std::(?:cout|cerr|clog)\b|\bf?printf\s*\(",
+        lambda parts: "src" in parts and not (
+            "util" in parts and parts[-1] == "log.cpp")),
+    "no-float-eq": Rule(
+        "exact floating-point comparison; use the 1e-9-epsilon helpers",
+        r"[=!]=\s*" + FLOAT_LIT + r"(?![\w.])|" + FLOAT_LIT + r"\s*[=!]="),
+    "pragma-once": Rule("header must open with #pragma once"),
+    "no-naked-new": Rule(
+        "naked new expression; use std::make_unique/make_shared or a "
+        "container",
+        r"(?<![:\w])new\s+[A-Za-z_(:]"),
+    "no-sleep-in-tests": Rule(
+        "sleep-based synchronization in a test; use cond-vars/futures/joins",
+        r"\bsleep_for\s*\(|\bsleep_until\s*\(",
+        lambda parts: "tests" in parts),
+    "no-evaluator-in-loop": Rule(
+        "evaluator constructed inside a loop; hoist an EvalWorkspace "
+        "(ga/eval.hpp) and rebuild() per candidate",
+        r"\bTimingEvaluator\b(?:\s+\w+)?\s*[({]|\bTimingEvaluator\s*>\s*\("
+        r"|\bcompute_(?:schedule_timing|makespan)\s*\(",
+        lambda parts: "src" in parts and "ga" in parts, loop_only=True),
+    "no-raw-schedule": Rule(
+        "raw Schedule construction outside src/sched and src/resched; build "
+        "placements through InsertionScheduleBuilder or decode()",
+        # Direct construction plus the smart-pointer spelling
+        # (make_unique/make_shared<Schedule>(...)).
+        r"\bSchedule\s*[({]|\bSchedule\s*>\s*\(",
+        lambda parts: ("src" in parts and "sched" not in parts
+                       and "resched" not in parts)),
+    "no-scalar-mc-in-loop": Rule(
+        "scalar timing sweep in a Monte-Carlo loop; batch realizations "
+        "through sim/batched_sweep (bit-identical, several times faster)",
+        r"\b(?:makespan_into|full_timing_into|full_timing|partial_timing"
+        r"|compute_makespan|compute_schedule_timing)\s*\("
+        r"|\.\s*makespan\s*\(",
+        lambda parts: "src" in parts and "sim" in parts, loop_only=True),
 }
 
 # Directories where the strong-id subscript discipline is enforced.
@@ -175,7 +273,8 @@ ACCUMULATE_RE = re.compile(
     r"\bstd::accumulate\s*\(\s*([A-Za-z_]\w*)\s*\.\s*(?:c?begin)\s*\(")
 RAW_RAND_RE = re.compile(
     r"std::random_device|\bs?rand\s*\(|std::mt19937|std::minstd_rand"
-    r"|std::default_random_engine|std::ranlux\d*")
+    r"|std::default_random_engine|std::ranlux\d*"
+    r"|std::uniform_(?:int|real)_distribution")
 TIME_SOURCE_RE = re.compile(
     r"\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)|\bclock\s*\(\s*\)"
     r"|::now\s*\(\s*\)|\bgettimeofday\s*\(")
@@ -222,6 +321,7 @@ FUNC_HEADER_RE = re.compile(
     r"(?:const\s*)?(?:noexcept\s*(?:\([^)]*\)\s*)?)?"
     r"(?:->\s*[\w:<>,\s*&]+\s*)?(?:RTS_\w+\s*(?:\([^)]*\))?\s*)*"
     r"(?::\s*[^{]*)?$", re.S)
+LOOP_KEYWORD_RE = re.compile(r"\b(?:for|while)\s*$")
 LAMBDA_HEADER_RE = re.compile(r"\[[^\[\]]*\]\s*(?:\([^)]*\))?\s*"
                               r"(?:mutable\s*)?(?:noexcept\s*)?"
                               r"(?:->\s*[\w:<>,\s*&]+\s*)?$", re.S)
@@ -375,6 +475,13 @@ class FileModel:
         self.pending_omp = None  # (pragma text, lineno) awaiting its scope
         self.paren = 0
         self.scan_buf = []       # current line's scope-stable segment
+        self.scan_loop = []      # per scan_buf char: inside a loop header
+                                 # or a braceless loop body?
+        self.braceless = False   # such a header/body is open right now
+        parts = Path(relpath).parts
+        self.lexical = [(name, rule) for name, rule in RULES.items()
+                        if rule.pattern and rule.applies(parts)]
+        self.lexical_hits = set()  # (lineno, rule): one finding per line
 
     # -- scope helpers ------------------------------------------------------
 
@@ -581,6 +688,7 @@ class FileModel:
         allow = set(ALLOW_RE.findall(raw)) | set(ALLOW_RE.findall(prev_raw))
         stripped = code.strip()
         if stripped.startswith("#"):
+            self._rule_lexical(lineno, code, [False] * len(code), allow)
             if re.match(r"#\s*pragma\s+omp\b", stripped):
                 self.an.pragma_buffer = (stripped.rstrip("\\").strip(), lineno,
                                          allow)
@@ -616,11 +724,16 @@ class FileModel:
         for ch in code:
             base = self.scopes[-1].paren_base
             if ch == "(":
+                if self.paren == base and LOOP_KEYWORD_RE.search(
+                        "".join(self.stmt[-12:])):
+                    self.braceless = True
                 self.paren += 1
             elif ch == ")":
                 self.paren = max(0, self.paren - 1)
             elif ch == "{":
-                self._scan_segment(lineno, allow)
+                self._scan_segment(lineno, allow, opener=ch)
+                if self.paren == base:
+                    self.braceless = False  # a braced body opens a loop scope
                 header = "".join(self.stmt).strip()
                 hline = self.stmt_line or lineno
                 if self.paren == base:
@@ -639,7 +752,7 @@ class FileModel:
                 self.stmt_line = 0
                 continue
             elif ch == "}" and self.paren == base:
-                self.scan_buf.append(ch)
+                self._scan_push(ch)
                 self._scan_segment(lineno, allow)
                 self._end_statement(lineno)
                 if len(self.scopes) > 1:
@@ -647,20 +760,31 @@ class FileModel:
                 continue
             elif ch == ";" and self.paren == base:
                 self.stmt.append(ch)
-                self.scan_buf.append(ch)
+                self._scan_push(ch)
+                self.braceless = False
                 self._end_statement(lineno)
                 continue
             if not self.stmt and not ch.isspace():
                 self.stmt_line = lineno
             self.stmt.append(ch)
-            self.scan_buf.append(ch)
+            self._scan_push(ch)
         self._scan_segment(lineno, allow)
 
-    def _scan_segment(self, lineno, allow):
-        seg = "".join(self.scan_buf).strip()
+    def _scan_push(self, ch):
+        self.scan_buf.append(ch)
+        self.scan_loop.append(self.braceless)
+
+    def _scan_segment(self, lineno, allow, opener=""):
+        """Run the rules over the buffered segment. Lexical rules also see
+        the `{` that ended it, so `Schedule{...}` still matches."""
+        text = "".join(self.scan_buf)
+        in_loop = self.scan_loop + [self.braceless] * len(opener)
         self.scan_buf = []
+        self.scan_loop = []
+        seg = text.strip()
         if not seg or allow is None:
             return
+        self._rule_lexical(lineno, text + opener, in_loop, allow)
         self._rule_rng(lineno, seg, allow)
         self._rule_nondet_iteration(lineno, seg, allow)
         self._rule_fp_accumulation(lineno, seg, allow)
@@ -747,6 +871,18 @@ class FileModel:
                         f"floating-point reduction({op}:{var}) is "
                         "nondeterministic across thread counts; "
                         "lane-accumulate and merge in index order", allow)
+
+    def _rule_lexical(self, lineno, text, in_loop, allow):
+        for name, rule in self.lexical:
+            if (lineno, name) in self.lexical_hits:
+                continue
+            for m in rule.pattern.finditer(text):
+                if rule.loop_only and not (in_loop[m.start()]
+                                           or self.innermost_loop()):
+                    continue
+                self.lexical_hits.add((lineno, name))
+                self.report(lineno, name, rule.message, allow)
+                break
 
     def _rule_rng(self, lineno, code, allow):
         parts = self.path.parts
@@ -1008,6 +1144,12 @@ class Analyzer:
                     self.header_allows[(rel, lineno)] = rules
                     self.header_allows.setdefault((rel, lineno + 1), set())
         model = FileModel(self, path, rel)
+        if not collect_only and path.suffix in HEADER_SUFFIXES:
+            first = next((code.strip() for _, code, _ in strip_code(lines)
+                          if code.strip()), "")
+            if first != "#pragma once":
+                model.report(1, "pragma-once", RULES["pragma-once"].message,
+                             set(ALLOW_RE.findall(lines[0] if lines else "")))
         self.pragma_buffer = None
         prev_raw = ""
         for lineno, code, raw in strip_code(lines):
@@ -1359,6 +1501,9 @@ SELFTEST = [
      "void g(const GaConfig& config) {\n"
      "  Rng rng(config.seed);\n"
      "}"),
+    ("rng-discipline", "apps/rts_cli.cpp",
+     "std::uniform_int_distribution<int> pick(0, 9);",
+     "const int pick = static_cast<int>(rng.next_int(10));"),
     ("rng-discipline", "src/sim/realization.cpp",
      "void h(std::uint64_t seed) {\n"
      "  Rng rng(seed + static_cast<std::uint64_t>(omp_get_thread_num()));\n"
@@ -1496,6 +1641,78 @@ SELFTEST = [
      "    out[e] = 0.0;\n"
      "  }\n"
      "}"),
+    ("no-iostream-in-lib", "src/sched/heft.cpp",
+     'std::cout << "progress\\n";',
+     'RTS_LOG_INFO("progress");'),
+    ("no-iostream-in-lib", "src/core/experiment.cpp",
+     'printf("%d", i);',
+     'RTS_LOG_DEBUG("i=" << i);'),
+    ("no-float-eq", "src/sched/timing.cpp",
+     "if (slack == 0.5) {}",
+     "if (std::abs(slack - 0.5) < 1e-9) {}"),
+    ("no-float-eq", "bench/micro_timing.cpp",
+     "bool b = 1e-3 != x;",
+     "bool b = std::abs(x - 1e-3) >= 1e-9;"),
+    ("pragma-once", "src/util/widget.hpp",
+     "#ifndef WIDGET_H\n#define WIDGET_H\n#endif",
+     "#pragma once\nnamespace rts {}"),
+    ("pragma-once", "tests/test_helpers.hpp",
+     "// Shared fixtures.\n#include <vector>\n#pragma once",
+     "// Shared fixtures.\n#pragma once\n#include <vector>"),
+    ("no-naked-new", "src/core/pareto.cpp",
+     "auto* p = new Front(n);",
+     "auto p = std::make_unique<Front>(n);"),
+    ("no-naked-new", "tests/service/test_queue.cpp",
+     "std::unique_ptr<Job> job(new Job{1});",
+     "auto job = std::make_unique<Job>(Job{1});"),
+    ("no-sleep-in-tests", "tests/service/test_service.cpp",
+     "std::this_thread::sleep_for(std::chrono::milliseconds(50));",
+     "worker.join();"),
+    ("no-sleep-in-tests", "tests/net/test_socket_server.cpp",
+     "std::this_thread::sleep_until(deadline);",
+     "done.get_future().wait();"),
+    ("no-evaluator-in-loop", "src/ga/annealing.cpp",
+     "for (std::size_t i = 0; i < n; ++i) {\n"
+     "  const TimingEvaluator ev(graph, platform, schedules[i]);\n"
+     "}",
+     "TimingEvaluator ev(graph, platform);\n"
+     "for (std::size_t i = 0; i < n; ++i) {\n"
+     "  ev.rebuild(schedules[i]);\n"
+     "}"),
+    ("no-evaluator-in-loop", "src/ga/local_search.cpp",
+     "while (improved) {\n"
+     "  const double ms = compute_makespan(graph, platform, current, costs);\n"
+     "}",
+     "EvalWorkspace ws(graph, platform, costs);\n"
+     "while (improved) {\n"
+     "  const double ms = ws.evaluate(current).makespan;\n"
+     "}"),
+    # A braceless loop body has no scope of its own and still counts.
+    ("no-evaluator-in-loop", "src/ga/engine.cpp",
+     "for (const Schedule& s : schedules)\n"
+     "  best = std::min(best, compute_makespan(graph, platform, s, costs));",
+     "for (const Schedule& s : schedules)\n"
+     "  best = std::min(best, ws.evaluate(s).makespan);"),
+    ("no-raw-schedule", "src/sim/dynamic.cpp",
+     "return Schedule(n, std::move(sequences));",
+     "return builder.release_schedule();"),
+    ("no-raw-schedule", "src/service/scheduler_service.cpp",
+     "auto plan = std::make_unique<Schedule>(n, std::move(sequences));",
+     "std::unique_ptr<Schedule> plan = builder.release_schedule_ptr();"),
+    ("no-scalar-mc-in-loop", "src/sim/monte_carlo.cpp",
+     "for (std::size_t i = begin; i < end; ++i) {\n"
+     "  samples[i] = evaluator.makespan_into(durations, scratch);\n"
+     "}",
+     "sweep.forward(durations, lanes, finish, makespans);"),
+    ("no-scalar-mc-in-loop", "src/sim/criticality.cpp",
+     "for (std::int64_t i = 0; i < total; ++i) {\n"
+     "  const double ms = evaluator.makespan(durations);\n"
+     "}",
+     "const BatchedGsSweep sweep(evaluator);\n"
+     "sweep.forward(durations, lanes, finish, makespans);"),
+    ("no-scalar-mc-in-loop", "src/sim/hybrid.cpp",
+     "for (std::size_t i = 0; i < n; ++i) samples[i] = ev.makespan(d[i]);",
+     "for (std::size_t i = 0; i < n; ++i) samples[i] = makespans[i];"),
 ]
 
 # Scope / precision checks: the same construct where the rule must NOT fire.
@@ -1640,6 +1857,50 @@ SELFTEST_EXEMPT = [
      "    out.push_back(0.0);\n"
      "  }\n"
      "}"),
+    # The Rng implementation owns the raw engines and distributions.
+    ("rng-discipline", "src/util/rng.cpp", "std::random_device rd;"),
+    # Tools and benches print; so does the logging sink itself.
+    ("no-iostream-in-lib", "bench/fig2.cpp", 'std::cout << "data\\n";'),
+    ("no-iostream-in-lib", "src/util/log.cpp", "std::clog << msg;"),
+    ("no-sleep-in-tests", "bench/micro_ga_ops.cpp",
+     "std::this_thread::sleep_for(tick);"),
+    # The evaluator rule polices solver hot loops only: one-shot
+    # construction in a loop is legitimate elsewhere (tests, tools,
+    # the Monte-Carlo path sized by realizations not candidates).
+    ("no-evaluator-in-loop", "src/sim/criticality.cpp",
+     "for (auto& s : schedules) {\n  TimingEvaluator ev(g, p, s);\n}"),
+    ("no-evaluator-in-loop", "tests/ga/test_engine.cpp",
+     "for (auto& s : schedules) {\n  TimingEvaluator ev(g, p, s);\n}"),
+    # ...and outside loop bodies it never fires, even in src/ga/.
+    ("no-evaluator-in-loop", "src/ga/engine.cpp",
+     "TimingEvaluator ev(graph, platform, schedule);"),
+    # The schedule layers own raw construction; tests/apps assemble
+    # fixtures freely.
+    ("no-raw-schedule", "src/sched/insertion_builder.cpp",
+     "return Schedule(n, std::move(sequences));"),
+    ("no-raw-schedule", "src/resched/rescheduler.cpp",
+     "return Schedule(n, std::move(sequences));"),
+    ("no-raw-schedule", "tests/sched/test_schedule.cpp",
+     "const Schedule s = Schedule(2, sequences);"),
+    # The scalar-sweep rule polices the Monte-Carlo layer only: per-item
+    # timing calls in schedulers/tests and the per-event replays of
+    # src/resched are not realization loops.
+    ("no-scalar-mc-in-loop", "src/sched/heft.cpp",
+     "for (auto& s : candidates) {\n  best = ev.makespan(durations);\n}"),
+    ("no-scalar-mc-in-loop", "tests/sim/test_monte_carlo.cpp",
+     "for (int i = 0; i < 5; ++i) {\n"
+     "  const double ms = evaluator.makespan_into(d, scratch);\n}"),
+    ("no-scalar-mc-in-loop", "src/resched/rescheduler.cpp",
+     "for (;;) {\n"
+     "  const auto timing = partial_timing(graph, platform, part, durations);\n"
+     "}"),
+    # ...and outside loop bodies it never fires, even in src/sim/.
+    ("no-scalar-mc-in-loop", "src/sim/monte_carlo.cpp",
+     "report.expected_makespan = evaluator.makespan(expected);"),
+    # A statement after a braceless loop body is outside the loop.
+    ("no-scalar-mc-in-loop", "src/sim/monte_carlo.cpp",
+     "for (std::size_t i = 0; i < n; ++i) d[i] = 0.0; "
+     "const double ms = evaluator.makespan(d);"),
 ]
 
 
@@ -1702,6 +1963,7 @@ def run_self_test():
     inert = ('void f() {\n'
              '  const char* s = "std::random_device";  // time(nullptr) seed\n'
              '  /* #pragma omp parallel */\n'
+             '  const char* t = "rand()"; // old code: new Widget(rand())\n'
              '}')
     check("comments/strings are not matched",
           not run_snippet("src/core/x.cpp", inert))
@@ -1735,8 +1997,11 @@ def run_self_test():
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="rts_analyze.py", description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=["src"],
-                        help="roots to analyze (default: src)")
+    parser.add_argument("paths", nargs="*",
+                        default=["src", "apps", "bench", "tests", "examples",
+                                 "tools"],
+                        help="roots to analyze (default: src apps bench "
+                             "tests examples tools)")
     parser.add_argument("-p", "--build-dir", type=Path, default=None,
                         help="build dir containing compile_commands.json")
     parser.add_argument("--compile-commands", type=Path, default=None,
