@@ -623,8 +623,9 @@ ValidationReport ScheduleValidator::validate_solver_output(
       // Eqn. 8, feasible branch: a feasible individual's fitness is exactly
       // its objective slack.
       const Evaluation evals[] = {eval};
-      const double fitness =
-          generation_fitness(evals, objective, *epsilon, heft_makespan).front();
+      double fitness = 0.0;
+      generation_fitness(evals, objective, *epsilon, heft_makespan,
+                         std::span<double>(&fitness, 1));
       const double expected = objective == ObjectiveKind::kEpsilonConstraintEffective
                                   ? eval.effective_slack
                                   : eval.avg_slack;

@@ -80,6 +80,7 @@ SaResult run_simulated_annealing(const TaskGraph& graph, const Platform& platfor
   Chromosome best = current;
   Evaluation best_eval = current_eval;
   double best_energy = current_energy;
+  IdVector<TaskId, std::size_t> mutation_positions;
 
   // Auto-calibrate T0 as the energy spread of a short random walk, so the
   // early phase accepts most moves regardless of the instance's scale.
@@ -88,7 +89,7 @@ SaResult run_simulated_annealing(const TaskGraph& graph, const Platform& platfor
     RunningStats probe;
     Chromosome walker = current;
     for (int i = 0; i < 64; ++i) {
-      mutate(walker, graph, platform.proc_count(), rng);
+      mutate(walker, graph, platform.proc_count(), rng, mutation_positions);
       probe.add(energy(ws.evaluate(walker)));
     }
     t0 = std::max(probe.stddev(), 1e-9);
@@ -101,7 +102,7 @@ SaResult run_simulated_annealing(const TaskGraph& graph, const Platform& platfor
   double temperature = t0;
   for (std::size_t iter = 0; iter < config.iterations; ++iter) {
     Chromosome neighbour = current;
-    mutate(neighbour, graph, platform.proc_count(), rng);
+    mutate(neighbour, graph, platform.proc_count(), rng, mutation_positions);
     const Evaluation neighbour_eval = ws.evaluate(neighbour);
     const double neighbour_energy = energy(neighbour_eval);
 

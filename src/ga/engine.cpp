@@ -1,6 +1,8 @@
 #include "ga/engine.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -82,7 +84,7 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
   // in the dense population array and every evaluation is a pure function of
   // its chromosome, so the outcome is bit-identical for any thread count.
   const auto evaluate_many = [&](std::vector<Individual>& individuals,
-                                 const std::vector<std::size_t>& which) {
+                                 std::span<const std::size_t> which) {
 #ifdef RTS_HAVE_OPENMP
     if (eval_threads > 1 && which.size() > 1) {
       const auto total = static_cast<std::int64_t>(which.size());
@@ -170,23 +172,29 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
   };
   record(0, false);
 
+  // Generation buffers, sized once: the loop below only copy-assigns into
+  // them (reusing every chromosome's capacity) and swaps pop with next, so a
+  // steady-state generation allocates nothing.
   std::vector<std::size_t> idx(np);
   std::vector<Evaluation> evals(np);
-  std::vector<std::size_t> dirty_idx;
-  dirty_idx.reserve(np);
+  std::vector<double> fitness(np);
+  std::vector<Individual> intermediate(np);
+  std::vector<Individual> next(np);
+  std::vector<std::uint8_t> dirty(np);
+  std::vector<std::size_t> dirty_idx(np);
+  IdVector<TaskId, std::uint8_t> crossover_mask;
+  IdVector<TaskId, std::size_t> mutation_positions;
   std::size_t stagnation = 0;
   std::size_t iterations_run = 0;
 
   for (std::size_t iter = 1; iter <= config.max_iterations; ++iter) {
     iterations_run = iter;
     for (std::size_t i = 0; i < np; ++i) evals[i] = pop[i].eval;
-    const std::vector<double> fitness = generation_fitness(
-        evals, config.objective, config.epsilon, heft.makespan);
+    generation_fitness(evals, config.objective, config.epsilon, heft.makespan, fitness);
 
     // --- Selection: two systematic tournament passes; every individual
-    // fights exactly twice, winners fill the intermediate population.
-    std::vector<Individual> intermediate;
-    intermediate.reserve(np + 1);
+    // fights exactly twice, winners fill the intermediate population (an odd
+    // population yields np + 1 winners; the last is dropped).
     const auto winner_of = [&](std::size_t a, std::size_t b) {
       if (fitness[a] != fitness[b]) return fitness[a] > fitness[b] ? a : b;
       // Deterministic tie-break so runs are reproducible.
@@ -195,31 +203,31 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
                  ? b
                  : a;
     };
+    std::size_t filled = 0;
+    const auto admit = [&](std::size_t winner) {
+      if (filled < np) intermediate[filled] = pop[winner];
+      ++filled;
+    };
     for (int pass = 0; pass < 2; ++pass) {
       for (std::size_t i = 0; i < np; ++i) idx[i] = i;
       shuffle_indices(idx, rng);
-      for (std::size_t k = 0; k + 1 < np; k += 2) {
-        intermediate.push_back(pop[winner_of(idx[k], idx[k + 1])]);
-      }
-      if (np % 2 == 1) intermediate.push_back(pop[idx[np - 1]]);  // bye
+      for (std::size_t k = 0; k + 1 < np; k += 2) admit(winner_of(idx[k], idx[k + 1]));
+      if (np % 2 == 1) admit(idx[np - 1]);  // bye
     }
-    RTS_ENSURE(intermediate.size() >= np, "selection shrank the population");
-    intermediate.resize(np);
+    RTS_ENSURE(filled >= np, "selection shrank the population");
 
     // --- Crossover: shuffle, then each adjacent pair recombines with
     // probability pc (Section 4.2.5); the remainder is copied unchanged.
     for (std::size_t i = 0; i < np; ++i) idx[i] = i;
     shuffle_indices(idx, rng);
-    std::vector<Individual> next(np);
-    std::vector<bool> dirty(np, false);
+    std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
     for (std::size_t k = 0; k + 1 < np; k += 2) {
       const std::size_t a = idx[k];
       const std::size_t b = idx[k + 1];
       if (sample_bernoulli(rng, config.crossover_prob)) {
-        auto [ca, cb] = crossover(intermediate[a].chrom, intermediate[b].chrom, rng);
-        next[a].chrom = std::move(ca);
-        next[b].chrom = std::move(cb);
-        dirty[a] = dirty[b] = true;
+        crossover(intermediate[a].chrom, intermediate[b].chrom, rng, next[a].chrom,
+                  next[b].chrom, crossover_mask);
+        dirty[a] = dirty[b] = 1;
       } else {
         next[a] = intermediate[a];
         next[b] = intermediate[b];
@@ -230,17 +238,17 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
     // --- Mutation with probability pm per individual (Section 4.2.6).
     for (std::size_t i = 0; i < np; ++i) {
       if (sample_bernoulli(rng, config.mutation_prob)) {
-        mutate(next[i].chrom, graph, proc_count, rng);
-        dirty[i] = true;
+        mutate(next[i].chrom, graph, proc_count, rng, mutation_positions);
+        dirty[i] = 1;
       }
     }
 
     // --- Evaluate the changed individuals (in parallel; see evaluate_many).
-    dirty_idx.clear();
+    std::size_t dirty_count = 0;
     for (std::size_t i = 0; i < np; ++i) {
-      if (dirty[i]) dirty_idx.push_back(i);
+      if (dirty[i] != 0) dirty_idx[dirty_count++] = i;
     }
-    evaluate_many(next, dirty_idx);
+    evaluate_many(next, std::span<const std::size_t>(dirty_idx.data(), dirty_count));
 
     // --- Elitism: the weakest newcomer makes room for the best-so-far.
     if (config.elitism) {
@@ -264,7 +272,7 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
       }
     }
     stagnation = improved ? 0 : stagnation + 1;
-    pop = std::move(next);
+    pop.swap(next);
     record(iter, iter == config.max_iterations);
     if (stagnation >= config.stagnation_window) break;
   }

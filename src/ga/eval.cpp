@@ -34,24 +34,26 @@ void EvalWorkspace::bind(const TaskGraph& graph, const Platform& platform,
 
 Evaluation EvalWorkspace::evaluate(const Chromosome& chromosome) {
   RTS_REQUIRE(bound(), "workspace is unbound; bind() a problem first");
-  evaluator_.rebuild(chromosome.order, chromosome.assignment);
-  return finish(chromosome.assignment);
+  evaluator_.chromosome_timing_into(chromosome.order, chromosome.assignment, *costs_,
+                                    timing_);
+  return summarize(chromosome.assignment);
 }
 
 Evaluation EvalWorkspace::evaluate(const Schedule& schedule) {
   RTS_REQUIRE(bound(), "workspace is unbound; bind() a problem first");
   evaluator_.rebuild(schedule);
-  return finish(schedule.assignment());
-}
-
-Evaluation EvalWorkspace::finish(IdSpan<TaskId, const ProcId> assignment) {
-  const std::size_t n = evaluator_.task_count();
+  const IdSpan<TaskId, const ProcId> assignment = schedule.assignment();
   const Matrix<double>& costs = *costs_;
-  durations_.resize(n);
-  for (const TaskId t : id_range<TaskId>(n)) {
+  durations_.resize(assignment.size());
+  for (const TaskId t : assignment.ids()) {
     durations_[t] = costs(t.index(), assignment[t].index());
   }
   evaluator_.full_timing_into(durations_, timing_);
+  return summarize(assignment);
+}
+
+Evaluation EvalWorkspace::summarize(IdSpan<TaskId, const ProcId> assignment) const {
+  const std::size_t n = assignment.size();
   Evaluation eval{timing_.makespan, timing_.average_slack, 0.0};
   if (stddev_ != nullptr) {
     // Effective slack: credit per task capped at kappa * sigma on its

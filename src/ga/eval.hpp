@@ -1,17 +1,19 @@
 #pragma once
 // Reusable evaluation workspaces for the metaheuristic hot loops.
 //
-// Every solver in src/ga/ scores candidates the same way: decode the
-// chromosome, compile the disjunctive graph Gs, run the forward/backward
-// timing sweeps, and (for the stochastic objective) fold per-task slack
-// through the kappa*sigma cap. Doing that from scratch re-allocates a dozen
-// buffers per evaluation even though the (graph, platform, costs) triple is
-// fixed for the whole run — at the paper's GA budget (population 100 x 1000
-// generations, Section 4.2) construction dominates the runtime.
+// Every solver in src/ga/ scores candidates the same way: time the
+// chromosome on the disjunctive graph Gs with the forward/backward sweeps,
+// and (for the stochastic objective) fold per-task slack through the
+// kappa*sigma cap. The (graph, platform, costs) triple is fixed for the
+// whole run — at the paper's GA budget (population 20 x up to 1000
+// generations, Section 4.2) only the candidate changes.
 //
-// EvalWorkspace amortizes all of it: it owns a TimingEvaluator that is
-// rebuilt in place per candidate (sched/timing.hpp) plus the duration and
-// timing scratch, so a steady-state evaluation performs zero allocations.
+// EvalWorkspace owns a TimingEvaluator that times a chromosome without
+// compiling Gs: the graph's predecessor CSR is compiled once per bind(), and
+// each candidate adds only one processor-predecessor slot per task
+// (TimingEvaluator::chromosome_timing_into, sched/timing.hpp). With the
+// timing scratch kept too, a steady-state evaluation performs zero
+// allocations.
 // EvalWorkspacePool hands one workspace to each OpenMP thread of the GA's
 // parallel population evaluation and lets the service layer reuse the
 // workspaces (and their grown capacity) across jobs.
@@ -67,13 +69,15 @@ class EvalWorkspace {
   [[nodiscard]] const ScheduleTiming& last_timing() const noexcept { return timing_; }
 
  private:
-  Evaluation finish(IdSpan<TaskId, const ProcId> assignment);
+  /// Evaluation from timing_: makespan, average slack and, when bound with
+  /// a stddev matrix, effective slack.
+  [[nodiscard]] Evaluation summarize(IdSpan<TaskId, const ProcId> assignment) const;
 
   const Matrix<double>* costs_ = nullptr;
   const Matrix<double>* stddev_ = nullptr;
   double kappa_ = 0.0;
   TimingEvaluator evaluator_;
-  IdVector<TaskId, double> durations_;
+  IdVector<TaskId, double> durations_;  // Schedule path only
   ScheduleTiming timing_;
 };
 

@@ -11,18 +11,17 @@ bool is_feasible(const Evaluation& eval, double epsilon, double heft_makespan) {
   return eval.makespan <= epsilon * heft_makespan;
 }
 
-std::vector<double> generation_fitness(std::span<const Evaluation> evals,
-                                       ObjectiveKind objective, double epsilon,
-                                       double heft_makespan) {
-  std::vector<double> fitness(evals.size());
+void generation_fitness(std::span<const Evaluation> evals, ObjectiveKind objective,
+                        double epsilon, double heft_makespan, std::span<double> fitness) {
+  RTS_REQUIRE(fitness.size() == evals.size(), "fitness buffer length must match evals");
   const bool effective = objective == ObjectiveKind::kEpsilonConstraintEffective;
   switch (objective) {
     case ObjectiveKind::kMinimizeMakespan:
       for (std::size_t i = 0; i < evals.size(); ++i) fitness[i] = -evals[i].makespan;
-      return fitness;
+      return;
     case ObjectiveKind::kMaximizeSlack:
       for (std::size_t i = 0; i < evals.size(); ++i) fitness[i] = evals[i].avg_slack;
-      return fitness;
+      return;
     case ObjectiveKind::kEpsilonConstraint:
     case ObjectiveKind::kEpsilonConstraintEffective:
       break;
@@ -68,7 +67,6 @@ std::vector<double> generation_fitness(std::span<const Evaluation> evals,
       fitness[i] = bound / evals[i].makespan;
     }
   }
-  return fitness;
 }
 
 bool better_than(const Evaluation& a, const Evaluation& b, ObjectiveKind objective,

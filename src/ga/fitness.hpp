@@ -9,7 +9,6 @@
 //     population-based penalty fitness of Eqn. 8 for infeasible individuals.
 
 #include <span>
-#include <vector>
 
 namespace rts {
 
@@ -43,10 +42,11 @@ struct Evaluation {
 /// min{fitness of feasible} * epsilon * M_HEFT / M0, i.e. are ranked below
 /// every feasible individual in proportion to their constraint violation.
 /// When the generation has no feasible individual the fallback ranks by
-/// epsilon * M_HEFT / M0 alone (see DESIGN.md).
-std::vector<double> generation_fitness(std::span<const Evaluation> evals,
-                                       ObjectiveKind objective, double epsilon,
-                                       double heft_makespan);
+/// epsilon * M_HEFT / M0 alone (see DESIGN.md). Writes fitness[i] for
+/// evals[i] into the caller's buffer (same length), so the GA's generation
+/// loop reuses one array.
+void generation_fitness(std::span<const Evaluation> evals, ObjectiveKind objective,
+                        double epsilon, double heft_makespan, std::span<double> fitness);
 
 /// Feasibility under the ε-constraint (Eqn. 7; boundary inclusive so the
 /// HEFT seed itself is feasible at epsilon = 1).

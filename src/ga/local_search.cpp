@@ -50,6 +50,7 @@ LocalSearchResult run_slack_local_search(const TaskGraph& graph,
 
   std::vector<std::size_t> visit(n);
   for (std::size_t i = 0; i < n; ++i) visit[i] = i;
+  IdVector<TaskId, std::size_t> positions;
 
   for (std::size_t pass = 0; pass < config.max_passes; ++pass) {
     bool improved_this_pass = false;
@@ -82,7 +83,7 @@ LocalSearchResult run_slack_local_search(const TaskGraph& graph,
       const auto original_pos =
           static_cast<std::size_t>(pos_it - current.order.begin());
       current.order.erase(pos_it);
-      const auto [lo, hi] = mutation_window(graph, current.order, t);
+      const auto [lo, hi] = mutation_window(graph, current.order, t, positions);
       bool moved = false;
       for (const std::size_t target : {lo, hi}) {
         if (target == original_pos) continue;

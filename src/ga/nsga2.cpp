@@ -137,6 +137,8 @@ Nsga2Result run_nsga2(const TaskGraph& graph, const Platform& platform,
   }
 
   std::vector<Evaluation> evals(np);
+  IdVector<TaskId, std::uint8_t> crossover_mask;
+  IdVector<TaskId, std::size_t> mutation_positions;
   for (std::size_t gen = 0; gen < config.max_generations; ++gen) {
     // Rank + crowding of the current population drive the mating tournament.
     for (std::size_t i = 0; i < np; ++i) evals[i] = pop[i].eval;
@@ -174,16 +176,19 @@ Nsga2Result run_nsga2(const TaskGraph& graph, const Platform& platform,
         const std::size_t pa = crowded_better(idx[k], idx[k + 1]) ? idx[k] : idx[k + 1];
         const std::size_t pb =
             crowded_better(idx[k + 2], idx[k + 3]) ? idx[k + 2] : idx[k + 3];
-        Chromosome ca = pop[pa].chrom;
-        Chromosome cb = pop[pb].chrom;
+        Chromosome ca;
+        Chromosome cb;
         if (sample_bernoulli(rng, config.crossover_prob)) {
-          std::tie(ca, cb) = crossover(pop[pa].chrom, pop[pb].chrom, rng);
+          crossover(pop[pa].chrom, pop[pb].chrom, rng, ca, cb, crossover_mask);
+        } else {
+          ca = pop[pa].chrom;
+          cb = pop[pb].chrom;
         }
         if (sample_bernoulli(rng, config.mutation_prob)) {
-          mutate(ca, graph, proc_count, rng);
+          mutate(ca, graph, proc_count, rng, mutation_positions);
         }
         if (sample_bernoulli(rng, config.mutation_prob)) {
-          mutate(cb, graph, proc_count, rng);
+          mutate(cb, graph, proc_count, rng, mutation_positions);
         }
         Evaluation ea = ws.evaluate(ca);
         offspring.push_back(Individual{std::move(ca), ea});

@@ -13,25 +13,33 @@
 // predecessor, strictly before the first scheduled immediate successor),
 // then assign v a uniformly random processor.
 
+#include <cstdint>
 #include <utility>
 
 #include "ga/chromosome.hpp"
 
 namespace rts {
 
-/// Single-point crossover; returns the two offspring.
-std::pair<Chromosome, Chromosome> crossover(const Chromosome& parent_a,
-                                            const Chromosome& parent_b, Rng& rng);
+/// Single-point crossover of two parents into caller-owned offspring, which
+/// must not alias the parents. The offspring's buffers and `mask` (scratch,
+/// resized to the task count) keep their capacity across calls, so a
+/// steady-state crossover allocates nothing.
+void crossover(const Chromosome& parent_a, const Chromosome& parent_b, Rng& rng,
+               Chromosome& child_a, Chromosome& child_b,
+               IdVector<TaskId, std::uint8_t>& mask);
 
 /// In-place precedence-window move mutation + random processor reassignment.
+/// `positions` is the caller's reused scratch for mutation_window().
 void mutate(Chromosome& chromosome, const TaskGraph& graph, std::size_t proc_count,
-            Rng& rng);
+            Rng& rng, IdVector<TaskId, std::size_t>& positions);
 
 /// The inclusive insertion-index window [lo, hi] into which task `v` (already
 /// erased from `order`) may be re-inserted without violating precedence.
-/// Exposed for tests. `order_without_v` has length n-1.
+/// `order_without_v` has length n-1; `positions` is scratch (resized to the
+/// task count, capacity kept).
 std::pair<std::size_t, std::size_t> mutation_window(const TaskGraph& graph,
                                                     std::span<const TaskId> order_without_v,
-                                                    TaskId v);
+                                                    TaskId v,
+                                                    IdVector<TaskId, std::size_t>& positions);
 
 }  // namespace rts

@@ -43,9 +43,7 @@ void Platform::set_symmetric_rate(ProcId a, ProcId b, double rate) {
 double Platform::comm_cost(double data, ProcId from, ProcId to) const {
   check_pair(from, to);
   RTS_REQUIRE(data >= 0.0, "data size must be non-negative");
-  // rts-analyze: allow(no-float-eq) — zero data means no transfer, exactly.
-  if (from == to || data == 0.0) return 0.0;
-  return data / rates_(from.index(), to.index());
+  return comm_cost_unchecked(data, from, to);
 }
 
 double Platform::average_transfer_rate() const {

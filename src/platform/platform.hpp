@@ -34,6 +34,16 @@ class Platform {
   /// 0 when from == to or data == 0, otherwise data / rate (Section 3.1).
   [[nodiscard]] double comm_cost(double data, ProcId from, ProcId to) const;
 
+  /// comm_cost without the range and sign checks, for hot loops that
+  /// validated both processors and the data size up front. The one home of
+  /// the same-processor / zero-data rule; comm_cost delegates here.
+  [[nodiscard]] double comm_cost_unchecked(double data, ProcId from,
+                                           ProcId to) const noexcept {
+    // rts-analyze: allow(no-float-eq) — zero data means no transfer, exactly.
+    if (from == to || data == 0.0) return 0.0;
+    return data / rates_(from.index(), to.index());
+  }
+
   /// Mean rate over all ordered off-diagonal pairs; used by HEFT's rank
   /// computation and by generators calibrating CCR. For m == 1 returns +inf
   /// (no inter-processor link exists, communication never happens).

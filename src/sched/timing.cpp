@@ -6,6 +6,22 @@
 
 namespace rts {
 
+namespace {
+
+/// Per-task slack and its average (Eqn. 3) from finished sweeps.
+void fill_slack(ScheduleTiming& out, std::size_t n) {
+  double slack_sum = 0.0;
+  for (const TaskId t : id_range<TaskId>(n)) {
+    // Clamp tiny negative values from floating-point noise; by construction
+    // Tl + Bl <= makespan.
+    out.slack[t] = std::max(0.0, out.makespan - out.bottom_level[t] - out.start[t]);
+    slack_sum += out.slack[t];
+  }
+  out.average_slack = slack_sum / static_cast<double>(n);
+}
+
+}  // namespace
+
 TimingEvaluator::TimingEvaluator(const TaskGraph& graph, const Platform& platform)
     : graph_(&graph), platform_(&platform), n_(graph.task_count()) {}
 
@@ -20,6 +36,7 @@ void TimingEvaluator::bind(const TaskGraph& graph, const Platform& platform) {
   platform_ = &platform;
   n_ = graph.task_count();
   compiled_ = false;
+  graph_csr_ready_ = false;
 }
 
 void TimingEvaluator::rebuild(const Schedule& schedule) {
@@ -34,51 +51,8 @@ void TimingEvaluator::rebuild(const Schedule& schedule) {
   compile(schedule.assignment(), proc_pred_scratch_);
 }
 
-void TimingEvaluator::rebuild(std::span<const TaskId> order,
-                              std::span<const ProcId> assignment) {
-  RTS_REQUIRE(graph_ != nullptr, "evaluator is unbound; bind() a graph first");
-  RTS_REQUIRE(order.size() == n_, "order length must equal task count");
-  RTS_REQUIRE(assignment.size() == n_, "assignment length must equal task count");
-  const std::size_t m = platform_->proc_count();
-  const IdSpan<TaskId, const ProcId> proc_of{assignment};
-  // Per-processor predecessor of every task: the previous task of the same
-  // processor in `order`. pos_ (inverse permutation; n_ marks unseen) rejects
-  // duplicated ids and later validates precedence.
-  last_on_proc_.assign(m, kNoTask);
-  proc_pred_scratch_.assign(n_, kNoTask);
-  pos_.assign(n_, n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const TaskId t = order[i];
-    RTS_REQUIRE(t.valid() && t.index() < n_, "order references a task outside the graph");
-    RTS_REQUIRE(pos_[t] == n_, "order lists a task twice");
-    pos_[t] = i;
-    const ProcId p = proc_of[t];
-    RTS_REQUIRE(p.valid() && p.index() < m,
-                "assignment references a processor outside the platform");
-    proc_pred_scratch_[t] = last_on_proc_[p];
-    last_on_proc_[p] = t;
-  }
-  build_pred_csr(assignment, proc_pred_scratch_);
-
-  // `order` is itself a topological order of Gs iff every Gs edge points
-  // forward in it (proc edges do by construction), so the hot chromosome
-  // path validates in one O(E) scan and skips Kahn's sort entirely. Any
-  // valid topological order yields bit-identical sweeps: max/+ over the
-  // same operands is exact, so finish/bottom-level values do not depend on
-  // the processing order of independent tasks.
-  for (const TaskId t : id_range<TaskId>(n_)) {
-    const EdgeId end = pred_off_[t.next()];
-    for (EdgeId k = pred_off_[t]; k < end; ++k) {
-      RTS_REQUIRE(pos_[pred_task_[k]] < pos_[t],
-                  "schedule sequences contradict the precedence constraints (cyclic Gs)");
-    }
-  }
-  topo_.assign(order.begin(), order.end());
-  compiled_ = true;
-}
-
-void TimingEvaluator::build_pred_csr(IdSpan<TaskId, const ProcId> proc_of,
-                                     IdSpan<TaskId, const TaskId> proc_pred) {
+void TimingEvaluator::compile(IdSpan<TaskId, const ProcId> proc_of,
+                              IdSpan<TaskId, const TaskId> proc_pred) {
   compiled_ = false;
   const TaskGraph& graph = *graph_;
   const Platform& platform = *platform_;
@@ -114,11 +88,6 @@ void TimingEvaluator::build_pred_csr(IdSpan<TaskId, const ProcId> proc_of,
       pred_cost_[k] = 0.0;
     }
   }
-}
-
-void TimingEvaluator::compile(IdSpan<TaskId, const ProcId> proc_of,
-                              IdSpan<TaskId, const TaskId> proc_pred) {
-  build_pred_csr(proc_of, proc_pred);
 
   // Successor id mirror, needed only for Kahn's traversal here (the sweeps
   // run on the predecessor CSR alone).
@@ -162,6 +131,106 @@ void TimingEvaluator::compile(IdSpan<TaskId, const ProcId> proc_of,
   RTS_REQUIRE(topo_.size() == n_,
               "schedule sequences contradict the precedence constraints (cyclic Gs)");
   compiled_ = true;
+}
+
+void TimingEvaluator::compile_graph_csr() {
+  const TaskGraph& graph = *graph_;
+  graph_pred_off_.assign(n_ + 1, EdgeId{0});
+  for (const TaskId t : id_range<TaskId>(n_)) {
+    graph_pred_off_[t.next()] = graph_pred_off_[t].value() +
+                                static_cast<std::int64_t>(graph.predecessors(t).size());
+  }
+  const auto total = static_cast<std::size_t>(graph_pred_off_.back().value());
+  graph_pred_task_.resize(total);
+  graph_pred_data_.resize(total);
+  edge_cost_.resize(total);
+  for (const TaskId t : id_range<TaskId>(n_)) {
+    EdgeId k = graph_pred_off_[t];
+    for (const EdgeRef& e : graph.predecessors(t)) {
+      graph_pred_task_[k] = e.task;
+      graph_pred_data_[k] = e.data;  // TaskGraph rejects negative data on write
+      ++k;
+    }
+  }
+  graph_csr_ready_ = true;
+}
+
+void TimingEvaluator::chromosome_timing_into(std::span<const TaskId> order,
+                                             std::span<const ProcId> assignment,
+                                             const Matrix<double>& costs,
+                                             ScheduleTiming& out) {
+  RTS_REQUIRE(graph_ != nullptr, "evaluator is unbound; bind() a graph first");
+  RTS_REQUIRE(order.size() == n_, "order length must equal task count");
+  RTS_REQUIRE(assignment.size() == n_, "assignment length must equal task count");
+  const std::size_t m = platform_->proc_count();
+  RTS_REQUIRE(costs.rows() == n_ && costs.cols() == m,
+              "cost matrix shape must match graph tasks x platform processors");
+  if (!graph_csr_ready_) compile_graph_csr();
+  const Platform& platform = *platform_;
+  const IdSpan<TaskId, const ProcId> proc_of{assignment};
+
+  pos_.assign(n_, n_);
+  last_on_proc_.assign(m, kNoTask);
+  proc_pred_scratch_.resize(n_);
+  durations_.resize(n_);
+  out.start.resize(n_);
+  out.finish.resize(n_);
+  out.bottom_level.assign(n_, 0.0);
+  out.slack.resize(n_);
+  out.makespan = 0.0;
+
+  // Forward sweep in `order`, validating as it goes. Every task is checked
+  // (id in range, not seen before, processor in range) before its cost is
+  // read; a graph predecessor must already have been placed, which is
+  // exactly "every Gs edge points forward in `order`" (processor edges do by
+  // construction), so `order` is a topological order of Gs and no Kahn sort
+  // is needed. The predecessor's processor was validated when it was placed.
+  for (std::size_t i = 0; i < n_; ++i) {
+    const TaskId t = order[i];
+    RTS_REQUIRE(t.valid() && t.index() < n_, "order references a task outside the graph");
+    RTS_REQUIRE(pos_[t] == n_, "order lists a task twice");
+    pos_[t] = i;
+    const ProcId p = proc_of[t];
+    RTS_REQUIRE(p.valid() && p.index() < m,
+                "assignment references a processor outside the platform");
+    double start = 0.0;
+    const EdgeId end = graph_pred_off_[t.next()];
+    for (EdgeId k = graph_pred_off_[t]; k < end; ++k) {
+      const TaskId q = graph_pred_task_[k];
+      RTS_REQUIRE(pos_[q] < i,
+                  "schedule sequences contradict the precedence constraints (cyclic Gs)");
+      const double cost = platform.comm_cost_unchecked(graph_pred_data_[k], proc_of[q], p);
+      edge_cost_[k] = cost;
+      start = std::max(start, out.finish[q] + cost);
+    }
+    // The processor-predecessor slot: a zero-cost Gs edge. When it is also a
+    // graph edge that edge cost 0.0 too, so the repeat changes no bit.
+    const TaskId pp = last_on_proc_[p];
+    last_on_proc_[p] = t;
+    proc_pred_scratch_[t] = pp;
+    if (pp != kNoTask) start = std::max(start, out.finish[pp] + 0.0);
+    const double duration = costs(t.index(), p.index());
+    durations_[t] = duration;
+    out.start[t] = start;
+    out.finish[t] = start + duration;
+    out.makespan = std::max(out.makespan, out.finish[t]);
+  }
+
+  // Backward sweep in reverse `order`, pushing each finalized bottom level
+  // up into its predecessors (see full_timing_into), over the same edges.
+  for (std::size_t i = n_; i-- > 0;) {
+    const TaskId t = order[i];
+    const double bl = out.bottom_level[t] + durations_[t];
+    out.bottom_level[t] = bl;
+    const EdgeId end = graph_pred_off_[t.next()];
+    for (EdgeId k = graph_pred_off_[t]; k < end; ++k) {
+      const TaskId q = graph_pred_task_[k];
+      out.bottom_level[q] = std::max(out.bottom_level[q], edge_cost_[k] + bl);
+    }
+    const TaskId pp = proc_pred_scratch_[t];
+    if (pp != kNoTask) out.bottom_level[pp] = std::max(out.bottom_level[pp], 0.0 + bl);
+  }
+  fill_slack(out, n_);
 }
 
 double TimingEvaluator::makespan(IdSpan<TaskId, const double> durations) const {
@@ -235,14 +304,7 @@ void TimingEvaluator::full_timing_into(IdSpan<TaskId, const double> durations,
     }
   }
 
-  double slack_sum = 0.0;
-  for (const TaskId t : id_range<TaskId>(n_)) {
-    // Clamp tiny negative values from floating-point noise; by construction
-    // Tl + Bl <= makespan.
-    out.slack[t] = std::max(0.0, out.makespan - out.bottom_level[t] - out.start[t]);
-    slack_sum += out.slack[t];
-  }
-  out.average_slack = slack_sum / static_cast<double>(n_);
+  fill_slack(out, n_);
 }
 
 std::vector<double> assigned_durations(const Matrix<double>& costs, const Schedule& schedule) {

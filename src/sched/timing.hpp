@@ -16,10 +16,18 @@
 // each with no allocation.
 //
 // For solver hot loops the *schedule* changes on every evaluation while the
-// (graph, platform) pair stays fixed: rebuild() recompiles Gs in place,
-// reusing the CSR/topological-order buffers of the previous compile, so a
-// GA evaluating millions of chromosomes performs no steady-state allocation
-// (see ga/eval.hpp for the workspace that packages this pattern).
+// (graph, platform) pair stays fixed. A GA candidate differs from the fixed
+// graph only in one processor predecessor per task, so
+// chromosome_timing_into() compiles no Gs at all: it sweeps the graph's own
+// predecessor CSR (task, data), compiled once per bind() on first use, plus
+// one processor-predecessor slot per task, in the chromosome's execution
+// order. When that processor predecessor is also a graph predecessor, Def.
+// 3.1 keeps a single Gs edge; visiting it twice is harmless because the
+// graph edge then costs exactly 0 (same processor), and max(x, f + 0.0) and
+// max(b, 0.0 + bl) are idempotent, so the sweeps produce the same bits as
+// the compiled Gs. Buffers are reused across calls, so a GA scoring millions
+// of chromosomes performs no steady-state allocation (see ga/eval.hpp for
+// the workspace that packages this pattern).
 
 #include <span>
 #include <vector>
@@ -45,7 +53,7 @@ struct ScheduleTiming {
 /// disjunctive graph Gs of one schedule at a time.
 class TimingEvaluator {
  public:
-  /// Unbound evaluator; bind() + rebuild() before use. Exists so workspaces
+  /// Unbound evaluator; bind() before use. Exists so workspaces
   /// can hold evaluators by value and rebind them without losing capacity.
   TimingEvaluator() = default;
 
@@ -58,8 +66,9 @@ class TimingEvaluator {
                   const Schedule& schedule);
 
   /// Point at a (possibly different) graph/platform pair, keeping every
-  /// internal buffer's capacity. Invalidates the current compile; rebuild()
-  /// before evaluating.
+  /// internal buffer's capacity. Invalidates the current compile and the
+  /// graph CSR of chromosome_timing_into(); rebuild() before evaluating a
+  /// schedule. The graph must not change while bound.
   void bind(const TaskGraph& graph, const Platform& platform);
 
   /// Recompile Gs for a new schedule in place — no allocation once the
@@ -67,10 +76,19 @@ class TimingEvaluator {
   /// schedule contradicts precedence (cyclic Gs).
   void rebuild(const Schedule& schedule);
 
-  /// Same, from a global execution order plus a per-task processor
-  /// assignment (the GA chromosome encoding) without materializing a
-  /// Schedule: each processor's sequence is its tasks in `order` order.
-  void rebuild(std::span<const TaskId> order, std::span<const ProcId> assignment);
+  /// Full timing of a global execution order plus a per-task processor
+  /// assignment (the GA chromosome encoding) under durations
+  /// costs(t, assignment[t]), without compiling Gs: each processor's
+  /// sequence is its tasks in `order` order. One pass in `order` validates
+  /// and runs the forward sweep, one reverse pass the backward sweep; both
+  /// walk the graph CSR plus one processor-predecessor slot. Bit-identical
+  /// to rebuild() of the decoded schedule followed by full_timing_into().
+  /// Throws InvalidArgument on a malformed order or assignment (checked
+  /// before any cost is read) or an order that contradicts precedence.
+  /// Leaves the compiled schedule, if any, untouched.
+  void chromosome_timing_into(std::span<const TaskId> order,
+                              std::span<const ProcId> assignment,
+                              const Matrix<double>& costs, ScheduleTiming& out);
 
   [[nodiscard]] std::size_t task_count() const noexcept { return n_; }
 
@@ -102,7 +120,7 @@ class TimingEvaluator {
   /// indexed by task id (not topo slot) and 64-bit — edge counts are the
   /// first quantities to overflow 32 bits at million-task scale — and costs
   /// are the precompiled edge costs the scalar sweeps use. Valid until the
-  /// next bind()/rebuild(). sim/batched_sweep re-compiles these into
+  /// next bind()/rebuild(schedule). sim/batched_sweep re-compiles these into
   /// lane-blocked SoA form; taking them verbatim is what makes the batched
   /// sweeps bit-identical.
   [[nodiscard]] IdSpan<TaskId, const EdgeId> gs_pred_offsets() const noexcept {
@@ -116,17 +134,14 @@ class TimingEvaluator {
   }
 
  private:
-  /// Build the predecessor CSR of Gs (shared by both rebuild paths);
-  /// proc_of/proc_pred describe the processor placement and per-processor
-  /// predecessor of every task. Leaves the evaluator uncompiled.
-  void build_pred_csr(IdSpan<TaskId, const ProcId> proc_of,
-                      IdSpan<TaskId, const TaskId> proc_pred);
-
-  /// Full compile for an arbitrary placement: pred CSR + Kahn topological
-  /// sort (the chromosome path in rebuild(order, assignment) skips Kahn —
-  /// the order is validated and adopted directly).
+  /// Compile Gs for an arbitrary placement: predecessor CSR with edge
+  /// costs, then Kahn's topological sort. proc_of/proc_pred describe the
+  /// processor placement and per-processor predecessor of every task.
   void compile(IdSpan<TaskId, const ProcId> proc_of,
                IdSpan<TaskId, const TaskId> proc_pred);
+
+  /// Graph-only predecessor CSR of chromosome_timing_into().
+  void compile_graph_csr();
 
   const TaskGraph* graph_ = nullptr;
   const Platform* platform_ = nullptr;
@@ -145,9 +160,20 @@ class TimingEvaluator {
   // Compile scratch, reused across rebuilds.
   IdVector<TaskId, std::int64_t> indeg_;
   IdVector<TaskId, EdgeId> fill_;
-  IdVector<TaskId, std::size_t> pos_;  // inverse permutation of `order`
   std::vector<TaskId> stack_;
   IdVector<TaskId, TaskId> proc_pred_scratch_;
+  // Chromosome path: the graph's own predecessor CSR (no processor edges),
+  // compiled on the first chromosome after bind(), and per-call scratch —
+  // edge costs of the forward sweep (reused by the backward sweep),
+  // durations, the inverse permutation of `order` (n_ marks unseen) and the
+  // running last task of every processor.
+  bool graph_csr_ready_ = false;
+  IdVector<TaskId, EdgeId> graph_pred_off_;  // n_ + 1 entries
+  IdVector<EdgeId, TaskId> graph_pred_task_;
+  IdVector<EdgeId, double> graph_pred_data_;
+  IdVector<EdgeId, double> edge_cost_;
+  IdVector<TaskId, double> durations_;
+  IdVector<TaskId, std::size_t> pos_;
   IdVector<ProcId, TaskId> last_on_proc_;
 };
 

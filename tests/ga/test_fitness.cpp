@@ -9,17 +9,24 @@
 namespace rts {
 namespace {
 
+std::vector<double> fitness_of(std::span<const Evaluation> evals, ObjectiveKind objective,
+                               double epsilon, double heft_makespan) {
+  std::vector<double> fitness(evals.size());
+  generation_fitness(evals, objective, epsilon, heft_makespan, fitness);
+  return fitness;
+}
+
 TEST(Fitness, MinimizeMakespanRanksByNegatedMakespan) {
   const std::vector<Evaluation> evals{{10.0, 1.0}, {5.0, 0.0}, {20.0, 9.0}};
   const auto f =
-      generation_fitness(evals, ObjectiveKind::kMinimizeMakespan, 1.0, 100.0);
+      fitness_of(evals, ObjectiveKind::kMinimizeMakespan, 1.0, 100.0);
   EXPECT_GT(f[1], f[0]);
   EXPECT_GT(f[0], f[2]);
 }
 
 TEST(Fitness, MaximizeSlackRanksBySlack) {
   const std::vector<Evaluation> evals{{10.0, 1.0}, {5.0, 0.0}, {20.0, 9.0}};
-  const auto f = generation_fitness(evals, ObjectiveKind::kMaximizeSlack, 1.0, 100.0);
+  const auto f = fitness_of(evals, ObjectiveKind::kMaximizeSlack, 1.0, 100.0);
   EXPECT_GT(f[2], f[0]);
   EXPECT_GT(f[0], f[1]);
 }
@@ -28,7 +35,7 @@ TEST(Fitness, EpsilonConstraintFeasibleBranchIsSlack) {
   // bound = 1.2 * 100 = 120; all feasible.
   const std::vector<Evaluation> evals{{100.0, 3.0}, {120.0, 5.0}};
   const auto f =
-      generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.2, 100.0);
+      fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.2, 100.0);
   EXPECT_DOUBLE_EQ(f[0], 3.0);
   EXPECT_DOUBLE_EQ(f[1], 5.0);  // boundary is feasible (<=)
 }
@@ -42,7 +49,7 @@ TEST(Fitness, EpsilonConstraintPenalizesInfeasibleBelowWeakestFeasible) {
       {300.0, 9.0},  // even more infeasible
   };
   const auto f =
-      generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
+      fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
   EXPECT_DOUBLE_EQ(f[0], 4.0);
   EXPECT_DOUBLE_EQ(f[1], 2.0);
   EXPECT_DOUBLE_EQ(f[2], 2.0 * 100.0 / 150.0);
@@ -55,7 +62,7 @@ TEST(Fitness, EpsilonConstraintPenalizesInfeasibleBelowWeakestFeasible) {
 TEST(Fitness, EpsilonConstraintAllInfeasibleFallback) {
   const std::vector<Evaluation> evals{{150.0, 1.0}, {300.0, 9.0}};
   const auto f =
-      generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
+      fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
   // Ranked purely by constraint violation: smaller makespan wins.
   EXPECT_DOUBLE_EQ(f[0], 100.0 / 150.0);
   EXPECT_DOUBLE_EQ(f[1], 100.0 / 300.0);
@@ -72,7 +79,7 @@ TEST(Fitness, InfeasiblePenaltyKeepsGradientWhenBestFeasibleSlackIsZero) {
       {300.0, 5.0},  // more infeasible
   };
   const auto f =
-      generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
+      fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
   EXPECT_DOUBLE_EQ(f[0], 0.0);
   // Infeasible stays strictly below feasible and still decreases with M0.
   EXPECT_LT(f[1], f[0]);
@@ -87,15 +94,22 @@ TEST(Fitness, InfeasibleNeverOutranksAnyFeasible) {
       {100.0 + 1e-6, 9.0} // infinitesimally infeasible, huge slack
   };
   const auto f =
-      generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
+      fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
   EXPECT_LT(f[1], f[0]);
 }
 
 TEST(Fitness, EpsilonConstraintRequiresPositiveReferences) {
   const std::vector<Evaluation> evals{{1.0, 1.0}};
-  EXPECT_THROW(generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 0.0, 100.0),
+  EXPECT_THROW(fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 0.0, 100.0),
                InvalidArgument);
-  EXPECT_THROW(generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 0.0),
+  EXPECT_THROW(fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 0.0),
+               InvalidArgument);
+}
+
+TEST(Fitness, RejectsOutputBufferOfWrongLength) {
+  const std::vector<Evaluation> evals{{1.0, 1.0}, {2.0, 0.5}};
+  std::vector<double> fitness(1);
+  EXPECT_THROW(generation_fitness(evals, ObjectiveKind::kMaximizeSlack, 1.0, 100.0, fitness),
                InvalidArgument);
 }
 
@@ -148,7 +162,7 @@ TEST(Fitness, EffectiveObjectiveUsesEffectiveSlack) {
       {95.0, 5.0, 4.0},   // less slack, better placed
       {150.0, 9.0, 9.0},  // infeasible
   };
-  const auto eff = generation_fitness(
+  const auto eff = fitness_of(
       evals, ObjectiveKind::kEpsilonConstraintEffective, 1.0, 100.0);
   EXPECT_DOUBLE_EQ(eff[0], 2.0);
   EXPECT_DOUBLE_EQ(eff[1], 4.0);
@@ -157,7 +171,7 @@ TEST(Fitness, EffectiveObjectiveUsesEffectiveSlack) {
   EXPECT_DOUBLE_EQ(eff[2], 2.0 * 100.0 / 150.0);
 
   const auto plain =
-      generation_fitness(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
+      fitness_of(evals, ObjectiveKind::kEpsilonConstraint, 1.0, 100.0);
   EXPECT_GT(plain[0], plain[1]);
 }
 

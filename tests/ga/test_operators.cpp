@@ -10,6 +10,28 @@
 namespace rts {
 namespace {
 
+/// One crossover into fresh offspring and a fresh mask.
+std::pair<Chromosome, Chromosome> cross(const Chromosome& a, const Chromosome& b,
+                                        Rng& rng) {
+  Chromosome ca;
+  Chromosome cb;
+  IdVector<TaskId, std::uint8_t> mask;
+  crossover(a, b, rng, ca, cb, mask);
+  return {std::move(ca), std::move(cb)};
+}
+
+void mutate_once(Chromosome& c, const TaskGraph& g, std::size_t proc_count, Rng& rng) {
+  IdVector<TaskId, std::size_t> positions;
+  mutate(c, g, proc_count, rng, positions);
+}
+
+std::pair<std::size_t, std::size_t> window(const TaskGraph& g,
+                                           std::span<const TaskId> order_without_v,
+                                           TaskId v) {
+  IdVector<TaskId, std::size_t> positions;
+  return mutation_window(g, order_without_v, v, positions);
+}
+
 // --- Crossover -------------------------------------------------------------
 
 class CrossoverProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -23,7 +45,7 @@ TEST_P(CrossoverProperty, OffspringAreAlwaysValid) {
   for (int trial = 0; trial < 200; ++trial) {
     const Chromosome a = random_chromosome(g, 4, rng);
     const Chromosome b = random_chromosome(g, 4, rng);
-    const auto [ca, cb] = crossover(a, b, rng);
+    const auto [ca, cb] = cross(a, b, rng);
     ASSERT_TRUE(is_valid_chromosome(g, 4, ca));
     ASSERT_TRUE(is_valid_chromosome(g, 4, cb));
   }
@@ -36,7 +58,7 @@ TEST(Crossover, OffspringAssignmentsComeFromParents) {
   Rng rng(6);
   const Chromosome a = random_chromosome(instance.graph, 4, rng);
   const Chromosome b = random_chromosome(instance.graph, 4, rng);
-  const auto [ca, cb] = crossover(a, b, rng);
+  const auto [ca, cb] = cross(a, b, rng);
   for (const TaskId t : id_range<TaskId>(20)) {
     // Each offspring's processor for task t comes from one of the parents,
     // and the two offspring split the pair.
@@ -66,7 +88,7 @@ TEST(Crossover, AssignmentTailSwapIsContiguous) {
   a.assignment.assign(10, 0);
   b.assignment.assign(10, 1);
   Rng rng(7);
-  const auto [ca, cb] = crossover(a, b, rng);
+  const auto [ca, cb] = cross(a, b, rng);
   int switches = 0;
   for (TaskId t = 1; t.index() < 10; ++t) {
     if (ca.assignment[t] != ca.assignment[t.value() - 1]) ++switches;
@@ -85,7 +107,7 @@ TEST(Crossover, LeftPrefixOfSchedulingStringIsPreserved) {
   Rng rng(9);
   const Chromosome a = random_chromosome(instance.graph, 2, rng);
   const Chromosome b = random_chromosome(instance.graph, 2, rng);
-  const auto [ca, cb] = crossover(a, b, rng);
+  const auto [ca, cb] = cross(a, b, rng);
   EXPECT_EQ(ca.order[0], a.order[0]);
   EXPECT_EQ(cb.order[0], b.order[0]);
 }
@@ -103,7 +125,7 @@ TEST(Crossover, RightPartFollowsOtherParentsRelativeOrder) {
   b.assignment = {0, 0, 0, 0};
   Rng rng(10);
   for (int trial = 0; trial < 50; ++trial) {
-    const auto [ca, cb] = crossover(a, b, rng);
+    const auto [ca, cb] = cross(a, b, rng);
     // Find the preserved prefix length, then check the suffix ordering.
     std::size_t cut = 0;
     while (cut < 4 && ca.order[cut] == a.order[cut]) ++cut;
@@ -123,7 +145,38 @@ TEST(Crossover, RejectsMismatchedParents) {
   Chromosome a = random_chromosome(g, 2, rng);
   Chromosome b = random_chromosome(g, 2, rng);
   b.order.pop_back();
-  EXPECT_THROW(crossover(a, b, rng), InvalidArgument);
+  EXPECT_THROW(cross(a, b, rng), InvalidArgument);
+}
+
+TEST(Crossover, ReusedOffspringBuffersMatchFreshOnes) {
+  // run_ga recombines into the same offspring and mask every generation;
+  // the stale contents of those buffers must never leak into a child.
+  const auto instance = testing::small_instance(40, 4, 2.0, 31);
+  Rng parents_rng(3);
+  Rng fresh_rng(17);
+  Rng reused_rng(17);
+  Chromosome ca;
+  Chromosome cb;
+  IdVector<TaskId, std::uint8_t> mask;
+  for (int i = 0; i < 50; ++i) {
+    const Chromosome a = random_chromosome(instance.graph, 4, parents_rng);
+    const Chromosome b = random_chromosome(instance.graph, 4, parents_rng);
+    const auto [fa, fb] = cross(a, b, fresh_rng);
+    crossover(a, b, reused_rng, ca, cb, mask);
+    EXPECT_EQ(ca, fa) << "pair " << i;
+    EXPECT_EQ(cb, fb) << "pair " << i;
+  }
+}
+
+TEST(Crossover, RejectsOffspringAliasingParents) {
+  TaskGraph g(3);
+  Rng rng(11);
+  Chromosome a = random_chromosome(g, 2, rng);
+  const Chromosome b = random_chromosome(g, 2, rng);
+  Chromosome other;
+  IdVector<TaskId, std::uint8_t> mask;
+  EXPECT_THROW(crossover(a, b, rng, a, other, mask), InvalidArgument);
+  EXPECT_THROW(crossover(a, b, rng, other, other, mask), InvalidArgument);
 }
 
 // --- Mutation ----------------------------------------------------------------
@@ -136,7 +189,7 @@ TEST_P(MutationProperty, MutantsAreAlwaysValid) {
   Rng rng(GetParam() ^ 0xfeedu);
   Chromosome c = random_chromosome(g, 4, rng);
   for (int trial = 0; trial < 500; ++trial) {
-    mutate(c, g, 4, rng);
+    mutate_once(c, g, 4, rng);
     ASSERT_TRUE(is_valid_chromosome(g, 4, c));
   }
 }
@@ -148,7 +201,7 @@ TEST(Mutation, WindowRespectsImmediateNeighbours) {
   // predecessor and successor, i.e. insertion index 1 of {0, 2}.
   const TaskGraph g = testing::chain3();
   const std::vector<TaskId> without{0, 2};
-  const auto [lo, hi] = mutation_window(g, without, 1);
+  const auto [lo, hi] = window(g, without, 1);
   EXPECT_EQ(lo, 1u);
   EXPECT_EQ(hi, 1u);
 }
@@ -157,7 +210,7 @@ TEST(Mutation, WindowOfIndependentTaskIsFullString) {
   TaskGraph g(3);
   g.add_edge(0, 2, 0.0);  // task 1 is independent of both
   const std::vector<TaskId> without{0, 2};
-  const auto [lo, hi] = mutation_window(g, without, 1);
+  const auto [lo, hi] = window(g, without, 1);
   EXPECT_EQ(lo, 0u);
   EXPECT_EQ(hi, 2u);  // may be first, between, or appended last
 }
@@ -165,11 +218,11 @@ TEST(Mutation, WindowOfIndependentTaskIsFullString) {
 TEST(Mutation, WindowOfEntryAndExitTasks) {
   const TaskGraph g = testing::chain3();
   const std::vector<TaskId> without_0{1, 2};
-  const auto [lo0, hi0] = mutation_window(g, without_0, 0);
+  const auto [lo0, hi0] = window(g, without_0, 0);
   EXPECT_EQ(lo0, 0u);
   EXPECT_EQ(hi0, 0u);  // must stay before its successor task 1
   const std::vector<TaskId> without_2{0, 1};
-  const auto [lo2, hi2] = mutation_window(g, without_2, 2);
+  const auto [lo2, hi2] = window(g, without_2, 2);
   EXPECT_EQ(lo2, 2u);
   EXPECT_EQ(hi2, 2u);  // must stay after task 1 (append slot)
 }
@@ -182,7 +235,7 @@ TEST(Mutation, EventuallyMovesTasksAndChangesProcessors) {
   bool assignment_changed = false;
   Chromosome c = original;
   for (int trial = 0; trial < 100 && !(order_changed && assignment_changed); ++trial) {
-    mutate(c, instance.graph, 4, rng);
+    mutate_once(c, instance.graph, 4, rng);
     order_changed = order_changed || c.order != original.order;
     assignment_changed = assignment_changed || c.assignment != original.assignment;
   }
@@ -197,7 +250,7 @@ TEST(Mutation, SingleTaskGraphIsStable) {
   c.order = {0};
   c.assignment = {0};
   for (int i = 0; i < 10; ++i) {
-    mutate(c, g, 3, rng);
+    mutate_once(c, g, 3, rng);
     EXPECT_EQ(c.order, std::vector<TaskId>{0});
     EXPECT_LT(c.assignment[0], 3);
   }

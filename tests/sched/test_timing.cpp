@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "../test_helpers.hpp"
 #include "ga/chromosome.hpp"
@@ -244,13 +245,36 @@ TEST_P(TimingCrossValidation, SlackInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TimingCrossValidation,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
+/// Field-by-field exact comparison of two full timings.
+void expect_same_bits(const ScheduleTiming& got, const ScheduleTiming& expected,
+                      const std::string& what) {
+  EXPECT_EQ(got.makespan, expected.makespan) << what;
+  EXPECT_EQ(got.average_slack, expected.average_slack) << what;
+  ASSERT_EQ(got.slack.size(), expected.slack.size()) << what;
+  for (const TaskId t : expected.slack.ids()) {
+    EXPECT_EQ(got.start[t], expected.start[t]) << what << " task " << t.value();
+    EXPECT_EQ(got.finish[t], expected.finish[t]) << what << " task " << t.value();
+    EXPECT_EQ(got.bottom_level[t], expected.bottom_level[t])
+        << what << " task " << t.value();
+    EXPECT_EQ(got.slack[t], expected.slack[t]) << what << " task " << t.value();
+  }
+}
+
+/// Reference timing of a chromosome: a fresh evaluator compiles Gs of the
+/// decoded schedule (Kahn order, Def. 3.1 dedup) and sweeps it.
+ScheduleTiming reference_timing(const TaskGraph& graph, const Platform& platform,
+                                const Chromosome& c, const Matrix<double>& costs) {
+  const Schedule schedule = decode(c, platform.proc_count());
+  return compute_schedule_timing(graph, platform, schedule, costs);
+}
+
 TEST(Timing, RebuildMatchesFreshConstructionAcrossRandomSchedules) {
-  // The in-place rebuild paths (Schedule-based and order/assignment-based)
-  // must be bit-identical to a freshly constructed evaluator: same CSR
-  // content, and any valid topological order yields the exact same sweep
-  // results because max/+ over identical operands is exact.
+  // The in-place paths — rebuild(schedule) and the compile-free
+  // chromosome_timing_into(order, assignment) — must be bit-identical to a
+  // freshly constructed evaluator: same edge costs, and any valid
+  // topological order yields the exact same sweep results because max/+
+  // over identical operands is exact.
   const auto instance = testing::small_instance(60, 4, 2.0, 11);
-  const std::size_t n = instance.task_count();
   Rng rng(99);
   TimingEvaluator reused(instance.graph, instance.platform);
   TimingEvaluator from_chrom(instance.graph, instance.platform);
@@ -267,40 +291,198 @@ TEST(Timing, RebuildMatchesFreshConstructionAcrossRandomSchedules) {
 
     reused.rebuild(schedule);
     reused.full_timing_into(durations, reused_timing);
-    from_chrom.rebuild(c.order, c.assignment);
-    from_chrom.full_timing_into(durations, chrom_timing);
+    from_chrom.chromosome_timing_into(c.order, c.assignment, instance.expected,
+                                      chrom_timing);
 
-    for (const ScheduleTiming* got : {&reused_timing, &chrom_timing}) {
-      EXPECT_EQ(got->makespan, expected.makespan) << "schedule " << i;
-      EXPECT_EQ(got->average_slack, expected.average_slack) << "schedule " << i;
-      ASSERT_EQ(got->slack.size(), n);
-      for (const TaskId t : id_range<TaskId>(n)) {
-        EXPECT_EQ(got->start[t], expected.start[t]);
-        EXPECT_EQ(got->finish[t], expected.finish[t]);
-        EXPECT_EQ(got->bottom_level[t], expected.bottom_level[t]);
-        EXPECT_EQ(got->slack[t], expected.slack[t]);
-      }
-    }
+    expect_same_bits(reused_timing, expected, "rebuild, schedule " + std::to_string(i));
+    expect_same_bits(chrom_timing, expected, "chromosome, schedule " + std::to_string(i));
   }
 }
 
 TEST(Timing, RebuildRejectsMalformedOrder) {
   const TaskGraph g = testing::chain3(4.0);
   const Platform platform(2, 1.0);
+  const Matrix<double> costs = testing::uniform_costs(3, 2, 1.0);
   const std::vector<ProcId> assignment{0, 1, 0};
   TimingEvaluator evaluator(g, platform);
+  ScheduleTiming out;
 
   const std::vector<TaskId> valid{0, 1, 2};
-  evaluator.rebuild(valid, assignment);
-  EXPECT_TRUE(evaluator.compiled());
+  evaluator.chromosome_timing_into(valid, assignment, costs, out);
+  EXPECT_EQ(out.makespan, 11.0);  // 1 + 4 + 1 + 4 + 1
+  // The chromosome path compiles no Gs.
+  EXPECT_FALSE(evaluator.compiled());
 
   const std::vector<TaskId> twice{0, 0, 2};  // duplicates 0, drops 1
-  EXPECT_THROW(evaluator.rebuild(twice, assignment), InvalidArgument);
+  EXPECT_THROW(evaluator.chromosome_timing_into(twice, assignment, costs, out),
+               InvalidArgument);
 
   const std::vector<TaskId> reversed{2, 1, 0};  // contradicts 0 -> 1 -> 2
-  EXPECT_THROW(evaluator.rebuild(reversed, assignment), InvalidArgument);
+  EXPECT_THROW(evaluator.chromosome_timing_into(reversed, assignment, costs, out),
+               InvalidArgument);
 
-  EXPECT_THROW(TimingEvaluator().rebuild(valid, assignment), InvalidArgument);
+  const std::vector<TaskId> outside{0, 1, 3};
+  EXPECT_THROW(evaluator.chromosome_timing_into(outside, assignment, costs, out),
+               InvalidArgument);
+
+  const std::vector<TaskId> short_order{0, 1};
+  EXPECT_THROW(evaluator.chromosome_timing_into(short_order, assignment, costs, out),
+               InvalidArgument);
+  const std::vector<ProcId> short_assignment{0, 1};
+  EXPECT_THROW(evaluator.chromosome_timing_into(valid, short_assignment, costs, out),
+               InvalidArgument);
+  const Matrix<double> wrong_costs = testing::uniform_costs(3, 3, 1.0);
+  EXPECT_THROW(evaluator.chromosome_timing_into(valid, assignment, wrong_costs, out),
+               InvalidArgument);
+
+  EXPECT_THROW(TimingEvaluator().chromosome_timing_into(valid, assignment, costs, out),
+               InvalidArgument);
+
+  // A rejected call leaves the evaluator usable.
+  evaluator.chromosome_timing_into(valid, assignment, costs, out);
+  EXPECT_EQ(out.makespan, 11.0);
+}
+
+TEST(Timing, ChromosomeProcPredecessorThatIsAlsoGraphPredecessor) {
+  // Def. 3.1 keeps one Gs edge when the processor predecessor is also a
+  // graph predecessor; the chromosome path visits the pair twice (graph
+  // edge + processor slot). The graph edge then costs exactly 0, so the
+  // repeat is idempotent under max/+ and the bits match the deduplicated Gs.
+  //
+  // Hand-computed: chain 0 -> 1 -> 2 (data 4), all on P0, durations
+  // {2, 3, 5}: start {0, 2, 5}, makespan 10, Bl {10, 8, 5}, no slack.
+  const TaskGraph g = testing::chain3(4.0);
+  const Platform platform(2, 1.0);
+  Matrix<double> costs(3, 2, 0.0);
+  costs(0, 0) = 2.0;
+  costs(1, 0) = 3.0;
+  costs(2, 0) = 5.0;
+  const Chromosome c{{0, 1, 2}, IdVector<TaskId, ProcId>{ProcId{0}, ProcId{0}, ProcId{0}}};
+  TimingEvaluator evaluator(g, platform);
+  ScheduleTiming out;
+  evaluator.chromosome_timing_into(c.order, c.assignment, costs, out);
+  EXPECT_EQ(out.makespan, 10.0);
+  EXPECT_EQ(out.start[1], 2.0);
+  EXPECT_EQ(out.start[2], 5.0);
+  EXPECT_EQ(out.bottom_level[0], 10.0);
+  EXPECT_EQ(out.average_slack, 0.0);
+  expect_same_bits(out, reference_timing(g, platform, c, costs), "chain on one processor");
+
+  // Dense random graphs on two processors: most processor predecessors are
+  // also graph predecessors.
+  const auto instance = testing::small_instance(40, 2, 2.0, 21);
+  Rng rng(5);
+  TimingEvaluator dense(instance.graph, instance.platform);
+  for (int i = 0; i < 30; ++i) {
+    const Chromosome rc = random_chromosome(instance.graph, 2, rng);
+    dense.chromosome_timing_into(rc.order, rc.assignment, instance.expected, out);
+    expect_same_bits(out,
+                     reference_timing(instance.graph, instance.platform, rc,
+                                      instance.expected),
+                     "two processors, chromosome " + std::to_string(i));
+  }
+}
+
+TEST(Timing, ChromosomeZeroDataEdgesAcrossProcessorsAreFree) {
+  // Chain 0 -> 1 -> 2 with zero data, placed P0, P1, P0 on a slow link:
+  // no transfer time anywhere, so the makespan is the sum of durations.
+  const TaskGraph g = testing::chain3(0.0);
+  const Platform platform(2, 0.5);
+  const Matrix<double> costs = testing::uniform_costs(3, 2, 2.0);
+  const Chromosome c{{0, 1, 2}, IdVector<TaskId, ProcId>{ProcId{0}, ProcId{1}, ProcId{0}}};
+  TimingEvaluator evaluator(g, platform);
+  ScheduleTiming out;
+  evaluator.chromosome_timing_into(c.order, c.assignment, costs, out);
+  EXPECT_EQ(out.start[1], 2.0);
+  EXPECT_EQ(out.start[2], 4.0);
+  EXPECT_EQ(out.makespan, 6.0);
+  expect_same_bits(out, reference_timing(g, platform, c, costs), "zero-data chain");
+
+  // Mixed zero and non-zero data on a heterogeneous platform.
+  TaskGraph mixed(4);
+  mixed.add_edge(0, 1, 0.0);
+  mixed.add_edge(0, 2, 3.0);
+  mixed.add_edge(1, 3, 0.0);
+  mixed.add_edge(2, 3, 5.0);
+  Platform hetero(3, 1.0);
+  hetero.set_symmetric_rate(0, 1, 0.25);
+  hetero.set_symmetric_rate(1, 2, 4.0);
+  const Matrix<double> mixed_costs = testing::uniform_costs(4, 3, 1.5);
+  const Chromosome mc{{0, 2, 1, 3},
+                      IdVector<TaskId, ProcId>{ProcId{0}, ProcId{1}, ProcId{2}, ProcId{1}}};
+  TimingEvaluator mixed_eval(mixed, hetero);
+  mixed_eval.chromosome_timing_into(mc.order, mc.assignment, mixed_costs, out);
+  expect_same_bits(out, reference_timing(mixed, hetero, mc, mixed_costs), "mixed data");
+}
+
+TEST(Timing, ChromosomeRejectsOutOfRangeProcessorBeforeReadingCosts) {
+  // A processor outside the platform must throw before costs(t, p) is read:
+  // with a 3 x 2 cost matrix, costs(2, 5) would be an out-of-bounds read
+  // (the sanitizer build catches it if the check ever moves after the read).
+  const TaskGraph g = testing::chain3(1.0);
+  const Platform platform(2, 1.0);
+  const Matrix<double> costs = testing::uniform_costs(3, 2, 1.0);
+  const std::vector<TaskId> order{0, 1, 2};
+  TimingEvaluator evaluator(g, platform);
+  ScheduleTiming out;
+  for (const ProcId bad : {ProcId{2}, ProcId{5}, kNoProc}) {
+    for (std::size_t victim = 0; victim < 3; ++victim) {
+      std::vector<ProcId> assignment{0, 1, 0};
+      assignment[victim] = bad;
+      EXPECT_THROW(evaluator.chromosome_timing_into(order, assignment, costs, out),
+                   InvalidArgument)
+          << "processor " << bad.value() << " on task " << victim;
+    }
+  }
+}
+
+TEST(Timing, ChromosomeRebindRecompilesGraphCsr) {
+  // One evaluator, rebound between graphs of the same size and of a
+  // different size: every evaluation after a bind() must use the new
+  // graph's edges, never the CSR compiled for the previous binding.
+  const Platform platform(2, 1.0);
+  const Matrix<double> costs = testing::uniform_costs(3, 2, 1.0);
+  const TaskGraph chain = testing::chain3(4.0);  // 0 -> 1 -> 2
+  TaskGraph join(3);                             // 0 -> 2, 1 -> 2
+  join.add_edge(0, 2, 10.0);
+  join.add_edge(1, 2, 1.0);
+  const Chromosome c{{0, 1, 2}, IdVector<TaskId, ProcId>{ProcId{0}, ProcId{1}, ProcId{1}}};
+
+  TimingEvaluator evaluator(chain, platform);
+  ScheduleTiming out;
+  evaluator.chromosome_timing_into(c.order, c.assignment, costs, out);
+  expect_same_bits(out, reference_timing(chain, platform, c, costs), "chain");
+  evaluator.bind(join, platform);
+  evaluator.chromosome_timing_into(c.order, c.assignment, costs, out);
+  expect_same_bits(out, reference_timing(join, platform, c, costs), "join after rebind");
+  EXPECT_EQ(out.makespan, 12.0);  // 1 + 10 transfer + 1
+
+  const auto bigger = testing::small_instance(30, 2, 2.0, 3);
+  evaluator.bind(bigger.graph, bigger.platform);
+  Rng rng(8);
+  const Chromosome rc = random_chromosome(bigger.graph, 2, rng);
+  evaluator.chromosome_timing_into(rc.order, rc.assignment, bigger.expected, out);
+  expect_same_bits(out,
+                   reference_timing(bigger.graph, bigger.platform, rc, bigger.expected),
+                   "larger graph after rebind");
+  evaluator.bind(chain, platform);
+  evaluator.chromosome_timing_into(c.order, c.assignment, costs, out);
+  expect_same_bits(out, reference_timing(chain, platform, c, costs), "chain again");
+}
+
+TEST(Timing, ChromosomeTimingLeavesCompiledScheduleUntouched) {
+  const auto instance = testing::small_instance(20, 3, 2.0, 4);
+  Rng rng(12);
+  const Chromosome first = random_chromosome(instance.graph, 3, rng);
+  const Chromosome second = random_chromosome(instance.graph, 3, rng);
+  const Schedule schedule = decode(first, 3);
+  const std::vector<double> durations = assigned_durations(instance.expected, schedule);
+  TimingEvaluator evaluator(instance.graph, instance.platform, schedule);
+  const double before = evaluator.makespan(durations);
+  ScheduleTiming out;
+  evaluator.chromosome_timing_into(second.order, second.assignment, instance.expected, out);
+  EXPECT_TRUE(evaluator.compiled());
+  EXPECT_EQ(evaluator.makespan(durations), before);
 }
 
 TEST(Timing, UncompiledEvaluatorRefusesToEvaluate) {

@@ -184,8 +184,8 @@ RULES = {
         "implicit 64-to-32 narrowing or 32-bit multiply of count-typed "
         "operands feeding a 64-bit offset"),
     "alloc-in-hot-loop": Rule(
-        "allocation inside a per-realization/per-evaluation loop; hoist "
-        "the buffer into a reused workspace"),
+        "allocation inside a per-realization/per-evaluation/per-generation "
+        "loop; hoist the buffer into a reused workspace"),
     # Lexical tier.
     "no-iostream-in-lib": Rule(
         "direct stream write in library code; use RTS_LOG_* (util/log)",
@@ -256,7 +256,8 @@ SIZE_CALL_RE = re.compile(r"\.\s*(?:size|index|length|count)\s*\(\s*\)")
 MUL_OPERANDS_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\*\s*([A-Za-z_]\w*)\b")
 HOT_LOOP_RE = re.compile(
     r"realization|realisation|\brep\b|\breps\b|\bn_reps\b"
-    r"|\beval(?:s|uations?)?\b|\bnum_evals\b|\bper_eval\b")
+    r"|\beval(?:s|uations?)?\b|\bnum_evals\b|\bper_eval\b"
+    r"|\bmax_iterations\b|\bgenerations?\b")
 ALLOC_CALL_RE = re.compile(r"\.\s*(?:push_back|emplace_back|resize)\s*\(")
 FRESH_VEC_RE = re.compile(
     r"\b(?:std::\s*)?vector\s*<[^;]*?>\s+\w+\s*[;({=]"
@@ -619,7 +620,8 @@ class FileModel:
 
     def _loop_is_hot(self, header):
         """A loop is 'hot' when its header names the per-realization /
-        per-evaluation axis, or when it nests inside a hot loop."""
+        per-evaluation / per-generation axis, or when it nests inside a hot
+        loop."""
         if HOT_LOOP_RE.search(header):
             return True
         enclosing = self.innermost_loop()
@@ -1105,10 +1107,10 @@ class FileModel:
         hot.reported.add(key)
         self.report(
             lineno, "alloc-in-hot-loop",
-            f"{what} inside the per-realization/per-evaluation loop at "
-            f"line {hot.loop['line']}; one allocation per realization "
-            "dominates the batched kernels — hoist the buffer into a "
-            "reused workspace", allow)
+            f"{what} inside the per-realization/per-evaluation/"
+            f"per-generation loop at line {hot.loop['line']}; one "
+            "allocation per pass dominates the hot kernels — hoist the "
+            "buffer into a reused workspace", allow)
 
 
 # ---------------------------------------------------------------------------
@@ -1641,6 +1643,21 @@ SELFTEST = [
      "    out[e] = 0.0;\n"
      "  }\n"
      "}"),
+    # The GA's generation loop is hot: a population buffer built per
+    # generation is hoisted out and swapped instead.
+    ("alloc-in-hot-loop", "src/ga/generation_loop.cpp",
+     "void h(const GaConfig& config, std::vector<Individual>& pop) {\n"
+     "  for (std::size_t iter = 1; iter <= config.max_iterations; ++iter) {\n"
+     "    std::vector<Individual> next(pop.size());\n"
+     "    pop.swap(next);\n"
+     "  }\n"
+     "}",
+     "void h(const GaConfig& config, std::vector<Individual>& pop,\n"
+     "       std::vector<Individual>& next) {\n"
+     "  for (std::size_t iter = 1; iter <= config.max_iterations; ++iter) {\n"
+     "    pop.swap(next);\n"
+     "  }\n"
+     "}"),
     ("no-iostream-in-lib", "src/sched/heft.cpp",
      'std::cout << "progress\\n";',
      'RTS_LOG_INFO("progress");'),
@@ -1848,6 +1865,15 @@ SELFTEST_EXEMPT = [
      "void f(std::size_t n, std::vector<int>& order) {\n"
      "  for (std::size_t t = 0; t < n; ++t) {\n"
      "    order.push_back(0);\n"
+     "  }\n"
+     "}"),
+    # A generation loop that writes into a pre-sized array plus a count
+    # allocates nothing.
+    ("alloc-in-hot-loop", "src/ga/generation_loop.cpp",
+     "void h(std::size_t generations, std::vector<std::size_t>& dirty_idx) {\n"
+     "  for (std::size_t gen = 0; gen < generations; ++gen) {\n"
+     "    std::size_t dirty_count = 0;\n"
+     "    dirty_idx[dirty_count++] = gen;\n"
      "  }\n"
      "}"),
     # Hot-loop allocation outside src/sim and src/ga is other rules' business.
