@@ -22,7 +22,7 @@
 //   rts generate --tasks 40 --procs 4 --seed 7 --out p.rts
 //   printf 'p.rts --epsilon 1.2 --iters 200\np.rts --epsilon 1.4\n' > jobs.txt
 //   rts_serve --requests jobs.txt --threads 4 --stats > results.jsonl
-//   rts_serve --listen 7070 --threads 4 &   # then: rts_loadgen --port 7070 ...
+//   rts_serve --listen 7070 --threads 4 &   # then send request lines over TCP
 
 #include <csignal>
 #include <fstream>

@@ -20,12 +20,12 @@
 // Usage: ablation_resched [--graphs N] [--realizations N] [--tasks N]
 //                         [--procs N] [--seed S] [--json PATH] [--smoke]
 
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/rts.hpp"
+#include "util/json_writer.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -116,18 +116,6 @@ void accumulate(Cell& cell, const ReschedEvalReport& rep, double inv_graphs) {
   cell.dropped += rep.mean_dropped * inv_graphs;
   cell.resolves += rep.mean_resolves * inv_graphs;
   cell.ga_iterations += rep.mean_ga_iterations * inv_graphs;
-}
-
-void append_cell_json(std::ofstream& json, const Cell& c, bool last) {
-  json << "    {\"oversubscription\": " << c.lambda << ", \"strategy\": \""
-       << c.strategy << "\", \"deadline_miss_rate\": " << c.miss_rate
-       << ", \"mean_value_accrued\": " << c.value_accrued
-       << ", \"value_possible\": " << c.value_possible
-       << ", \"mean_realized_makespan\": " << c.makespan
-       << ", \"mean_dropped\": " << c.dropped
-       << ", \"mean_resolves\": " << c.resolves
-       << ", \"mean_ga_iterations\": " << c.ga_iterations << "}"
-       << (last ? "\n" : ",\n");
 }
 
 int run(const Options& opts) {
@@ -229,30 +217,41 @@ int run(const Options& opts) {
             << cold_gens << ": " << (warm_not_costlier ? "not costlier" : "COSTLIER")
             << "\n";
 
-  std::ofstream json(opts.json_path);
-  json << "{\n"
-       << "  \"bench\": \"ablation_resched\",\n"
-       << "  \"smoke\": " << (opts.smoke ? "true" : "false") << ",\n"
-       << "  \"config\": {\"graphs\": " << opts.graphs
-       << ", \"realizations\": " << opts.realizations << ", \"tasks\": "
-       << opts.tasks << ", \"procs\": " << opts.procs << ", \"seed\": "
-       << opts.seed << "},\n"
-       << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    append_cell_json(json, cells[i], i + 1 == cells.size());
+  JsonWriter json;
+  json.begin_object()
+      .field("bench", "ablation_resched")
+      .field("smoke", opts.smoke)
+      .key("config").begin_object()
+      .field("graphs", opts.graphs)
+      .field("realizations", opts.realizations)
+      .field("tasks", opts.tasks)
+      .field("procs", opts.procs)
+      .field("seed", opts.seed)
+      .end_object()
+      .key("cells").begin_array();
+  for (const Cell& c : cells) {
+    json.begin_object()
+        .field("oversubscription", c.lambda)
+        .field("strategy", c.strategy)
+        .field("deadline_miss_rate", c.miss_rate)
+        .field("mean_value_accrued", c.value_accrued)
+        .field("value_possible", c.value_possible)
+        .field("mean_realized_makespan", c.makespan)
+        .field("mean_dropped", c.dropped)
+        .field("mean_resolves", c.resolves)
+        .field("mean_ga_iterations", c.ga_iterations)
+        .end_object();
   }
-  json << "  ],\n"
-       << "  \"acceptance\": {\n"
-       << "    \"dropping_cuts_miss_rate\": " << (drop_cuts_misses ? "true" : "false")
-       << ",\n"
-       << "    \"rescheduling_gains_value\": "
-       << (resched_gains_value ? "true" : "false") << ",\n"
-       << "    \"warm_start_not_costlier\": " << (warm_not_costlier ? "true" : "false")
-       << ",\n"
-       << "    \"warm_ga_generations\": " << warm_gens << ",\n"
-       << "    \"cold_ga_generations\": " << cold_gens << "\n"
-       << "  }\n"
-       << "}\n";
+  json.end_array()
+      .key("acceptance").begin_object()
+      .field("dropping_cuts_miss_rate", drop_cuts_misses)
+      .field("rescheduling_gains_value", resched_gains_value)
+      .field("warm_start_not_costlier", warm_not_costlier)
+      .field("warm_ga_generations", warm_gens)
+      .field("cold_ga_generations", cold_gens)
+      .end_object()
+      .end_object();
+  save_json_file(opts.json_path, json.take());
   std::cout << "wrote " << opts.json_path << "\n";
   return (drop_cuts_misses && resched_gains_value) ? 0 : 1;
 }

@@ -20,15 +20,16 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/report_io.hpp"
 #include "ga/engine.hpp"
 #include "ga/eval.hpp"
 #include "sched/timing.hpp"
+#include "util/json_writer.hpp"
 #include "workload/problem.hpp"
 
 namespace {
@@ -159,11 +160,8 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const Options& opts) {
   using namespace rts;
-  const Options opts = parse(argc, argv);
 
   Rng rng(opts.seed);
   PaperInstanceParams params;
@@ -269,29 +267,41 @@ int main(int argc, char** argv) {
             << "  ga max threads " << gen_rate_mt << " generations/s ("
             << gen_rate_mt / gen_rate_1t << "x, bit-identical result)\n";
 
-  std::ofstream json(opts.json_path);
-  json << "{\n"
-       << "  \"bench\": \"micro_eval_workspace\",\n"
-       << "  \"nproc\": " << std::thread::hardware_concurrency() << ",\n"
-       << "  \"compiler\": \"" << RTS_BENCH_COMPILER << "\",\n"
-       << "  \"build_type\": \"" << RTS_BENCH_BUILD_TYPE << "\",\n"
-       << "  \"rts_native_arch\": \"" << RTS_BENCH_NATIVE_ARCH << "\",\n"
-       << "  \"git_sha\": \"" << RTS_BENCH_GIT_SHA << "\",\n"
-       << "  \"tasks\": " << opts.tasks << ",\n"
-       << "  \"procs\": " << opts.procs << ",\n"
-       << "  \"evals\": " << opts.evals << ",\n"
-       << "  \"smoke\": " << (opts.smoke ? "true" : "false") << ",\n"
-       << "  \"legacy_cold_evals_per_sec\": " << legacy_rate << ",\n"
-       << "  \"oneshot_evals_per_sec\": " << oneshot_rate << ",\n"
-       << "  \"workspace_evals_per_sec\": " << warm_rate << ",\n"
-       << "  \"workspace_speedup_vs_legacy_cold\": " << speedup << ",\n"
-       << "  \"workspace_speedup_vs_oneshot\": " << warm_rate / oneshot_rate << ",\n"
-       << "  \"speedup_target\": 3.0,\n"
-       << "  \"speedup_ok\": " << (speedup_ok ? "true" : "false") << ",\n"
-       << "  \"ga_generations_per_sec_1thread\": " << gen_rate_1t << ",\n"
-       << "  \"ga_generations_per_sec_max_threads\": " << gen_rate_mt << ",\n"
-       << "  \"ga_parallel_bit_identical\": true\n"
-       << "}\n";
+  JsonWriter json;
+  json.begin_object()
+      .field("bench", "micro_eval_workspace")
+      .field("nproc", std::thread::hardware_concurrency())
+      .field("compiler", RTS_BENCH_COMPILER)
+      .field("build_type", RTS_BENCH_BUILD_TYPE)
+      .field("rts_native_arch", RTS_BENCH_NATIVE_ARCH)
+      .field("git_sha", RTS_BENCH_GIT_SHA)
+      .field("tasks", opts.tasks)
+      .field("procs", opts.procs)
+      .field("evals", opts.evals)
+      .field("smoke", opts.smoke)
+      .field("legacy_cold_evals_per_sec", legacy_rate)
+      .field("oneshot_evals_per_sec", oneshot_rate)
+      .field("workspace_evals_per_sec", warm_rate)
+      .field("workspace_speedup_vs_legacy_cold", speedup)
+      .field("workspace_speedup_vs_oneshot", warm_rate / oneshot_rate)
+      .field("speedup_target", 3.0)
+      .field("speedup_ok", speedup_ok)
+      .field("ga_generations_per_sec_1thread", gen_rate_1t)
+      .field("ga_generations_per_sec_max_threads", gen_rate_mt)
+      .field("ga_parallel_bit_identical", true)
+      .end_object();
+  save_json_file(opts.json_path, json.take());
   std::cout << "wrote " << opts.json_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(parse(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -5,11 +5,13 @@
 // plus the lane-width sweep and the OpenMP scaling row.
 //
 // Emits BENCH_mc.json — a recorded baseline, not a CI gate (shared CI
-// runners are too noisy for a throughput threshold). The repo's target is
-// batched/scalar >= 3x realizations/s single-threaded; `speedup_ok` records
-// whether this machine met it. The harness FAILS (non-zero exit) if batched
-// and scalar samples differ anywhere in a single bit — that part is a
-// correctness gate, noise-free by construction.
+// runners are too noisy for a throughput threshold), stamped with the host's
+// core count, compiler, build type, RTS_NATIVE_ARCH and the git sha the
+// build was configured at. The repo's target is batched/scalar >= 3x
+// realizations/s single-threaded; `speedup_ok` records whether this machine
+// met it. The harness FAILS (non-zero exit) if batched and scalar samples
+// differ anywhere in a single bit — that part is a correctness gate,
+// noise-free by construction.
 //
 // Usage:
 //   micro_montecarlo [--tasks N] [--procs M] [--realizations K] [--lanes W]
@@ -21,13 +23,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../tests/sim/scalar_oracle.hpp"
 #include "core/rts.hpp"
+#include "util/json_writer.hpp"
 
 namespace {
 
@@ -107,11 +110,8 @@ Run timed_run(const rts::ProblemInstance& instance, const rts::Schedule& schedul
   return run;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const Options& opts) {
   using namespace rts;
-  const Options opts = parse(argc, argv);
   const int reps = opts.smoke ? 2 : 3;
 
   PaperInstanceParams params;
@@ -193,26 +193,42 @@ int main(int argc, char** argv) {
             << "  all paths bit-identical across " << opts.realizations
             << " samples\n";
 
-  std::ofstream json(opts.json_path);
-  json << "{\n"
-       << "  \"bench\": \"micro_montecarlo\",\n"
-       << "  \"tasks\": " << opts.tasks << ",\n"
-       << "  \"procs\": " << opts.procs << ",\n"
-       << "  \"realizations\": " << opts.realizations << ",\n"
-       << "  \"lane_width\": " << opts.lanes << ",\n"
-       << "  \"smoke\": " << (opts.smoke ? "true" : "false") << ",\n"
-       << "  \"scalar_realizations_per_sec\": " << scalar.rate << ",\n"
-       << "  \"batched_realizations_per_sec\": " << batched.rate << ",\n"
-       << "  \"batched_speedup_vs_scalar\": " << speedup << ",\n";
+  JsonWriter json;
+  json.begin_object()
+      .field("bench", "micro_montecarlo")
+      .field("nproc", std::thread::hardware_concurrency())
+      .field("compiler", RTS_BENCH_COMPILER)
+      .field("build_type", RTS_BENCH_BUILD_TYPE)
+      .field("rts_native_arch", RTS_BENCH_NATIVE_ARCH)
+      .field("git_sha", RTS_BENCH_GIT_SHA)
+      .field("tasks", opts.tasks)
+      .field("procs", opts.procs)
+      .field("realizations", opts.realizations)
+      .field("lane_width", opts.lanes)
+      .field("smoke", opts.smoke)
+      .field("scalar_realizations_per_sec", scalar.rate)
+      .field("batched_realizations_per_sec", batched.rate)
+      .field("batched_speedup_vs_scalar", speedup);
   for (const auto& [lanes, rate] : lane_rates) {
-    json << "  \"batched_lanes" << lanes << "_realizations_per_sec\": " << rate
-         << ",\n";
+    json.field("batched_lanes" + std::to_string(lanes) + "_realizations_per_sec", rate);
   }
-  json << "  \"parallel_realizations_per_sec\": " << parallel.rate << ",\n"
-       << "  \"speedup_target\": 3.0,\n"
-       << "  \"speedup_ok\": " << (speedup_ok ? "true" : "false") << ",\n"
-       << "  \"bit_identical_to_scalar\": true\n"
-       << "}\n";
+  json.field("parallel_realizations_per_sec", parallel.rate)
+      .field("speedup_target", 3.0)
+      .field("speedup_ok", speedup_ok)
+      .field("bit_identical_to_scalar", true)
+      .end_object();
+  save_json_file(opts.json_path, json.take());
   std::cout << "wrote " << opts.json_path << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(parse(argc, argv));
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

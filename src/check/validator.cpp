@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 
 namespace rts {
 
@@ -38,12 +38,12 @@ bool ValidationReport::has(ViolationKind kind) const noexcept {
 
 std::string ValidationReport::to_string() const {
   std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
   for (const Violation& v : violations) {
     os << rts::to_string(v.kind);
     if (v.task != kNoTask) os << " task=" << v.task;
     if (v.proc != kNoProc) os << " proc=" << v.proc;
-    os << " expected=" << v.expected << " actual=" << v.actual;
+    os << " expected=" << format_double(v.expected)
+       << " actual=" << format_double(v.actual);
     if (!v.detail.empty()) os << ": " << v.detail;
     os << '\n';
   }

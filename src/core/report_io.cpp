@@ -1,122 +1,56 @@
 #include "core/report_io.hpp"
 
-#include <cmath>
 #include <fstream>
-#include <limits>
-#include <sstream>
 
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 
 namespace rts {
 
-namespace {
-
-/// Doubles serialized with max round-trip precision; non-finite values (the
-/// capped robustness metrics can be huge but are always finite; slack etc.
-/// never NaN) would break JSON, so reject them loudly.
-void append_number(std::ostringstream& os, double value) {
-  RTS_REQUIRE(std::isfinite(value), "cannot serialize non-finite value to JSON");
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-}
-
-void append_string(std::ostringstream& os, const std::string& text) {
-  os << '"';
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          os << "\\u00" << (ch < 16 ? "0" : "") << std::hex << static_cast<int>(ch)
-             << std::dec;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
-
-void append_array(std::ostringstream& os, std::span<const double> values) {
-  os << '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i) os << ',';
-    append_number(os, values[i]);
-  }
-  os << ']';
-}
-
-}  // namespace
-
 std::string robustness_to_json(const RobustnessReport& report, bool include_samples) {
-  std::ostringstream os;
-  os << "{\"expected_makespan\":";
-  append_number(os, report.expected_makespan);
-  os << ",\"mean_realized_makespan\":";
-  append_number(os, report.mean_realized_makespan);
-  os << ",\"stddev_realized_makespan\":";
-  append_number(os, report.stddev_realized_makespan);
-  os << ",\"max_realized_makespan\":";
-  append_number(os, report.max_realized_makespan);
-  os << ",\"p50\":";
-  append_number(os, report.p50_realized_makespan);
-  os << ",\"p95\":";
-  append_number(os, report.p95_realized_makespan);
-  os << ",\"p99\":";
-  append_number(os, report.p99_realized_makespan);
-  os << ",\"mean_tardiness\":";
-  append_number(os, report.mean_tardiness);
-  os << ",\"miss_rate\":";
-  append_number(os, report.miss_rate);
-  os << ",\"r1\":";
-  append_number(os, report.r1);
-  os << ",\"r2\":";
-  append_number(os, report.r2);
-  os << ",\"realizations\":" << report.realizations;
-  if (include_samples) {
-    os << ",\"samples\":";
-    append_array(os, report.samples);
-  }
-  os << '}';
-  return os.str();
+  JsonWriter w;
+  w.begin_object()
+      .field("expected_makespan", report.expected_makespan)
+      .field("mean_realized_makespan", report.mean_realized_makespan)
+      .field("stddev_realized_makespan", report.stddev_realized_makespan)
+      .field("max_realized_makespan", report.max_realized_makespan)
+      .field("p50", report.p50_realized_makespan)
+      .field("p95", report.p95_realized_makespan)
+      .field("p99", report.p99_realized_makespan)
+      .field("mean_tardiness", report.mean_tardiness)
+      .field("miss_rate", report.miss_rate)
+      .field("r1", report.r1)
+      .field("r2", report.r2)
+      .field("realizations", report.realizations);
+  if (include_samples) w.field("samples", report.samples);
+  return w.end_object().take();
 }
 
 std::string criticality_to_json(const CriticalityReport& report) {
-  std::ostringstream os;
-  os << "{\"expected_critical_tasks\":";
-  append_number(os, report.expected_critical_tasks);
-  os << ",\"safe_tasks\":" << report.safe_tasks;
-  os << ",\"normalized_entropy\":";
-  append_number(os, report.normalized_entropy);
-  os << ",\"realizations\":" << report.realizations;
-  os << ",\"criticality_index\":";
-  append_array(os, report.criticality_index);
-  os << '}';
-  return os.str();
+  return JsonWriter()
+      .begin_object()
+      .field("expected_critical_tasks", report.expected_critical_tasks)
+      .field("safe_tasks", report.safe_tasks)
+      .field("normalized_entropy", report.normalized_entropy)
+      .field("realizations", report.realizations)
+      .field("criticality_index", report.criticality_index)
+      .end_object()
+      .take();
 }
 
 std::string resched_report_to_json(const ReschedEvalReport& report) {
-  std::ostringstream os;
-  os << "{\"realizations\":" << report.realizations;
-  os << ",\"mean_makespan\":";
-  append_number(os, report.mean_makespan);
-  os << ",\"deadline_miss_rate\":";
-  append_number(os, report.deadline_miss_rate);
-  os << ",\"mean_value_accrued\":";
-  append_number(os, report.mean_value_accrued);
-  os << ",\"value_possible\":";
-  append_number(os, report.value_possible);
-  os << ",\"mean_dropped\":";
-  append_number(os, report.mean_dropped);
-  os << ",\"mean_resolves\":";
-  append_number(os, report.mean_resolves);
-  os << ",\"mean_ga_iterations\":";
-  append_number(os, report.mean_ga_iterations);
-  os << '}';
-  return os.str();
+  return JsonWriter()
+      .begin_object()
+      .field("realizations", report.realizations)
+      .field("mean_makespan", report.mean_makespan)
+      .field("deadline_miss_rate", report.deadline_miss_rate)
+      .field("mean_value_accrued", report.mean_value_accrued)
+      .field("value_possible", report.value_possible)
+      .field("mean_dropped", report.mean_dropped)
+      .field("mean_resolves", report.mean_resolves)
+      .field("mean_ga_iterations", report.mean_ga_iterations)
+      .end_object()
+      .take();
 }
 
 std::string timeline_to_json(const TaskGraph& graph, const Schedule& schedule,
@@ -125,27 +59,23 @@ std::string timeline_to_json(const TaskGraph& graph, const Schedule& schedule,
               "timing does not match schedule");
   RTS_REQUIRE(graph.task_count() == schedule.task_count(),
               "graph does not match schedule");
-  std::ostringstream os;
-  os << "{\"makespan\":";
-  append_number(os, timing.makespan);
-  os << ",\"average_slack\":";
-  append_number(os, timing.average_slack);
-  os << ",\"tasks\":[";
+  JsonWriter w;
+  w.begin_object()
+      .field("makespan", timing.makespan)
+      .field("average_slack", timing.average_slack)
+      .key("tasks")
+      .begin_array();
   for (const TaskId t : id_range<TaskId>(schedule.task_count())) {
-    if (t.index() != 0) os << ',';
-    os << "{\"id\":" << t << ",\"name\":";
-    append_string(os, graph.task_name(t));
-    os << ",\"processor\":" << schedule.proc_of(t);
-    os << ",\"start\":";
-    append_number(os, timing.start[t]);
-    os << ",\"finish\":";
-    append_number(os, timing.finish[t]);
-    os << ",\"slack\":";
-    append_number(os, timing.slack[t]);
-    os << '}';
+    w.begin_object()
+        .field("id", t.value())
+        .field("name", graph.task_name(t))
+        .field("processor", schedule.proc_of(t).value())
+        .field("start", timing.start[t])
+        .field("finish", timing.finish[t])
+        .field("slack", timing.slack[t])
+        .end_object();
   }
-  os << "]}";
-  return os.str();
+  return w.end_array().end_object().take();
 }
 
 void save_json_file(const std::string& path, const std::string& json) {

@@ -1,9 +1,8 @@
 #pragma once
 // JSON export of evaluation artifacts so downstream tooling (notebooks,
-// dashboards) can consume results without parsing console tables. The
-// writers are hand-rolled (no dependency) and emit deterministic key order.
+// dashboards) can consume results without parsing console tables. Built on
+// util/json_writer: compact, deterministic key order, 17-digit doubles.
 
-#include <iosfwd>
 #include <string>
 
 #include "resched/rescheduler.hpp"

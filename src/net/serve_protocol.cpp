@@ -1,44 +1,17 @@
 #include "net/serve_protocol.hpp"
 
-#include <cmath>
 #include <limits>
 #include <sstream>
 #include <vector>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 #include "workload/serialization.hpp"
 
 namespace rts {
 
 namespace {
-
-void append_number(std::ostringstream& os, double value) {
-  // Mirrors core/report_io.cpp: max round-trip precision, reject non-finite.
-  RTS_REQUIRE(std::isfinite(value), "cannot serialize non-finite value to JSON");
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-}
-
-void append_string(std::ostringstream& os, std::string_view text) {
-  os << '"';
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          os << "\\u00" << (ch < 16 ? "0" : "") << std::hex << static_cast<int>(ch)
-             << std::dec;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
-}
 
 /// An integer field checked against [lo, hi] before the caller narrows it:
 /// `--realizations -1` must fail in-band, not become SIZE_MAX samples.
@@ -116,53 +89,50 @@ std::string render_result_line(std::uint64_t job_index,
   if (result.status != JobStatus::kOk) {
     return render_failure_line(job_index, problem_path, result.error);
   }
-  std::ostringstream os;
-  os << "{\"job\":" << job_index << ",\"problem\":";
-  append_string(os, problem_path);
   const SolveSummary& s = result.summary;
-  os << ",\"status\":\"ok\",\"cache_hit\":" << (result.cache_hit ? "true" : "false");
-  os << ",\"digest\":\"" << result.key.to_hex() << '"';
-  os << ",\"heft_makespan\":";
-  append_number(os, s.heft_makespan);
-  os << ",\"makespan\":";
-  append_number(os, s.makespan);
-  os << ",\"avg_slack\":";
-  append_number(os, s.avg_slack);
-  os << ",\"mean_tardiness\":";
-  append_number(os, s.mean_tardiness);
-  os << ",\"miss_rate\":";
-  append_number(os, s.miss_rate);
-  os << ",\"r1\":";
-  append_number(os, s.r1);
-  os << ",\"r2\":";
-  append_number(os, s.r2);
-  os << ",\"heft_r1\":";
-  append_number(os, s.heft_r1);
-  os << ",\"heft_r2\":";
-  append_number(os, s.heft_r2);
-  os << ",\"ga_iterations\":" << s.ga_iterations << '}';
-  return os.str();
+  return JsonWriter()
+      .begin_object()
+      .field("job", job_index)
+      .field("problem", problem_path)
+      .field("status", "ok")
+      .field("cache_hit", result.cache_hit)
+      .field("digest", result.key.to_hex())
+      .field("heft_makespan", s.heft_makespan)
+      .field("makespan", s.makespan)
+      .field("avg_slack", s.avg_slack)
+      .field("mean_tardiness", s.mean_tardiness)
+      .field("miss_rate", s.miss_rate)
+      .field("r1", s.r1)
+      .field("r2", s.r2)
+      .field("heft_r1", s.heft_r1)
+      .field("heft_r2", s.heft_r2)
+      .field("ga_iterations", s.ga_iterations)
+      .end_object()
+      .take();
 }
 
 std::string render_failure_line(std::uint64_t job_index,
                                 std::string_view problem_path,
                                 std::string_view error) {
-  std::ostringstream os;
-  os << "{\"job\":" << job_index << ",\"problem\":";
-  append_string(os, problem_path);
-  os << ",\"status\":\"failed\",\"error\":";
-  append_string(os, error);
-  os << '}';
-  return os.str();
+  return JsonWriter()
+      .begin_object()
+      .field("job", job_index)
+      .field("problem", problem_path)
+      .field("status", "failed")
+      .field("error", error)
+      .end_object()
+      .take();
 }
 
 std::string render_reject_line(std::uint64_t job_index,
                                std::string_view reason) {
-  std::ostringstream os;
-  os << "{\"job\":" << job_index << ",\"status\":\"rejected\",\"error\":";
-  append_string(os, reason);
-  os << '}';
-  return os.str();
+  return JsonWriter()
+      .begin_object()
+      .field("job", job_index)
+      .field("status", "rejected")
+      .field("error", reason)
+      .end_object()
+      .take();
 }
 
 std::string overlong_line_error(std::size_t max_line_bytes) {

@@ -1,11 +1,9 @@
 #include "service/service_stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <sstream>
 
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 #include "util/stats.hpp"
 
 namespace rts {
@@ -62,36 +60,30 @@ std::uint64_t LatencyRecorder::count() const {
   return count_;
 }
 
-namespace {
-void append_number(std::ostringstream& os, double value) {
-  // Mirrors core/report_io.cpp: max round-trip precision, reject non-finite.
-  RTS_REQUIRE(std::isfinite(value), "cannot serialize non-finite value to JSON");
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << value;
-}
-}  // namespace
-
 std::string service_stats_to_json(const ServiceStats& s) {
-  std::ostringstream os;
-  os << "{\"submitted\":" << s.submitted << ",\"rejected\":" << s.rejected
-     << ",\"quota_rejected\":" << s.quota_rejected << ",\"completed\":" << s.completed
-     << ",\"failed\":" << s.failed << ",\"hits\":" << s.hits
-     << ",\"solved\":" << s.solved << ",\"coalesced\":" << s.coalesced
-     << ",\"queue_depth\":" << s.queue_depth << ",\"in_flight\":" << s.in_flight
-     << ",\"workers\":" << s.workers;
-  os << ",\"p50_latency_ms\":";
-  append_number(os, s.p50_latency_ms);
-  os << ",\"p95_latency_ms\":";
-  append_number(os, s.p95_latency_ms);
-  os << ",\"max_latency_ms\":";
-  append_number(os, s.max_latency_ms);
-  os << ",\"cache_hits\":" << s.cache.hits << ",\"cache_misses\":" << s.cache.misses
-     << ",\"cache_evictions\":" << s.cache.evictions
-     << ",\"cache_entries\":" << s.cache.entries;
-  os << ",\"cache_hit_rate\":";
-  append_number(os, s.cache.hit_rate());
-  os << '}';
-  return os.str();
+  return JsonWriter()
+      .begin_object()
+      .field("submitted", s.submitted)
+      .field("rejected", s.rejected)
+      .field("quota_rejected", s.quota_rejected)
+      .field("completed", s.completed)
+      .field("failed", s.failed)
+      .field("hits", s.hits)
+      .field("solved", s.solved)
+      .field("coalesced", s.coalesced)
+      .field("queue_depth", s.queue_depth)
+      .field("in_flight", s.in_flight)
+      .field("workers", s.workers)
+      .field("p50_latency_ms", s.p50_latency_ms)
+      .field("p95_latency_ms", s.p95_latency_ms)
+      .field("max_latency_ms", s.max_latency_ms)
+      .field("cache_hits", s.cache.hits)
+      .field("cache_misses", s.cache.misses)
+      .field("cache_evictions", s.cache.evictions)
+      .field("cache_entries", s.cache.entries)
+      .field("cache_hit_rate", s.cache.hit_rate())
+      .end_object()
+      .take();
 }
 
 }  // namespace rts

@@ -1,13 +1,12 @@
 #include "workload/serialization.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json_writer.hpp"
 
 namespace rts {
 
@@ -37,7 +36,7 @@ T read_value(std::istream& is, const char* what) {
 void write_matrix(std::ostream& os, const Matrix<double>& m) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t c = 0; c < m.cols(); ++c) {
-      os << (c ? " " : "") << m(r, c);
+      os << (c ? " " : "") << format_double(m(r, c));
     }
     os << '\n';
   }
@@ -60,7 +59,6 @@ void save_problem(std::ostream& os, const ProblemInstance& instance) {
   instance.validate();
   const std::size_t n = instance.task_count();
   const std::size_t m = instance.proc_count();
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "rts-problem v1\n";
   os << "tasks " << n << "\n";
   os << "procs " << m << "\n";
@@ -71,14 +69,14 @@ void save_problem(std::ostream& os, const ProblemInstance& instance) {
       const double rate = p == q ? 0.0
                                  : instance.platform.transfer_rate(static_cast<ProcId>(p),
                                                                    static_cast<ProcId>(q));
-      os << (q ? " " : "") << rate;
+      os << (q ? " " : "") << format_double(rate);
     }
     os << '\n';
   }
   os << "edges " << instance.graph.edge_count() << "\n";
   for (const TaskId t : id_range<TaskId>(n)) {
     for (const EdgeRef& e : instance.graph.successors(t)) {
-      os << t << ' ' << e.task << ' ' << e.data << '\n';
+      os << t << ' ' << e.task << ' ' << format_double(e.data) << '\n';
     }
   }
   os << "bcet\n";
@@ -95,7 +93,7 @@ void save_problem(std::ostream& os, const ProblemInstance& instance) {
     os << "deadlines\n";
     bool first = true;
     for (const double d : instance.deadline) {
-      os << (first ? "" : " ") << d;
+      os << (first ? "" : " ") << format_double(d);
       first = false;
     }
     os << '\n';
@@ -104,7 +102,7 @@ void save_problem(std::ostream& os, const ProblemInstance& instance) {
     os << "values\n";
     bool first = true;
     for (const double v : instance.value) {
-      os << (first ? "" : " ") << v;
+      os << (first ? "" : " ") << format_double(v);
       first = false;
     }
     os << '\n';
