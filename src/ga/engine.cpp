@@ -34,6 +34,19 @@ std::size_t resolve_eval_threads(const GaConfig& config) {
 #endif
 }
 
+/// The member of `pool` whose chromosome equals `child`, or nullptr.
+/// `pool[first]` is compared first: it is the individual the child was bred
+/// from, the likeliest match. Full equality stops at the first differing
+/// gene, which is cheaper than hashing the child and the whole pool.
+const Individual* find_equal(const std::vector<Individual>& pool, const Chromosome& child,
+                             std::size_t first) {
+  if (child == pool[first].chrom) return &pool[first];
+  for (std::size_t j = 0; j < pool.size(); ++j) {
+    if (j != first && child == pool[j].chrom) return &pool[j];
+  }
+  return nullptr;
+}
+
 /// Fisher-Yates shuffle driven by our deterministic Rng.
 void shuffle_indices(std::vector<std::size_t>& idx, Rng& rng) {
   for (std::size_t i = idx.size(); i > 1; --i) {
@@ -83,8 +96,10 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
   // Evaluate the listed individuals, in parallel when it pays. Results land
   // in the dense population array and every evaluation is a pure function of
   // its chromosome, so the outcome is bit-identical for any thread count.
+  std::size_t evaluations = 0;
   const auto evaluate_many = [&](std::vector<Individual>& individuals,
                                  std::span<const std::size_t> which) {
+    evaluations += which.size();
 #ifdef RTS_HAVE_OPENMP
     if (eval_threads > 1 && which.size() > 1) {
       const auto total = static_cast<std::int64_t>(which.size());
@@ -244,9 +259,17 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
     }
 
     // --- Evaluate the changed individuals (in parallel; see evaluate_many).
+    // Evaluation is a pure function of the chromosome, so a child equal to a
+    // member of the intermediate pool inherits that member's eval bit for
+    // bit; in a converged population most children do.
     std::size_t dirty_count = 0;
     for (std::size_t i = 0; i < np; ++i) {
-      if (dirty[i] != 0) dirty_idx[dirty_count++] = i;
+      if (dirty[i] == 0) continue;
+      if (const Individual* twin = find_equal(intermediate, next[i].chrom, i)) {
+        next[i].eval = twin->eval;
+      } else {
+        dirty_idx[dirty_count++] = i;
+      }
     }
     evaluate_many(next, std::span<const std::size_t>(dirty_idx.data(), dirty_count));
 
@@ -281,7 +304,7 @@ GaResult run_ga(const TaskGraph& graph, const Platform& platform,
   record(iterations_run, true);
 
   return GaResult{best.chrom,    best.eval,      decode(best.chrom, proc_count),
-                  heft.makespan, iterations_run, std::move(history)};
+                  heft.makespan, iterations_run, std::move(history), evaluations};
 }
 
 }  // namespace rts

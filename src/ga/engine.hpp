@@ -69,6 +69,10 @@ struct GaResult {
   double heft_makespan = 0.0;  ///< M_HEFT reference used by the constraint
   std::size_t iterations = 0;  ///< generations actually executed
   std::vector<GaIterationRecord> history;
+  /// Chromosomes actually scored (EvalWorkspace::evaluate calls), initial
+  /// population included; a child equal to a pool member inherits its
+  /// evaluation instead. Independent of GaConfig::threads.
+  std::size_t evaluations = 0;
 };
 
 /// Observer invoked at every recorded iteration with the best-so-far

@@ -206,8 +206,9 @@ template <class Id>
 /// `std::vector<T>` whose subscript accepts only `Id` — "indexed by task"
 /// as a compile-time property instead of a naming convention. Debug builds
 /// bounds-check every access; release builds compile to the raw vector
-/// subscript. Iteration, size() and span conversion work on raw positions
-/// exactly like std::vector, so value-wise algorithms are unaffected.
+/// subscript. Iteration, size() and span conversion (std::span's range
+/// constructor) work on raw positions exactly like std::vector, so
+/// value-wise algorithms are unaffected.
 template <class Id, class T>
 class IdVector {
  public:
@@ -273,9 +274,6 @@ class IdVector {
   /// serialization); never subscript the result with an id.
   [[nodiscard]] std::vector<T>& raw() noexcept { return v_; }
   [[nodiscard]] const std::vector<T>& raw() const noexcept { return v_; }
-
-  operator std::span<const T>() const noexcept { return {v_}; }  // NOLINT(google-explicit-constructor)
-  operator std::span<T>() noexcept { return {v_}; }              // NOLINT(google-explicit-constructor)
 
   friend bool operator==(const IdVector&, const IdVector&) = default;
 

@@ -302,6 +302,28 @@ TEST(GaEngine, BitIdenticalAcrossEvaluationThreadCounts) {
   }
 }
 
+TEST(GaEngine, ConvergedRunScoresEachRepeatedChildOnce) {
+  // At the paper's settings the population converges, and most children
+  // equal a member of the intermediate pool; they inherit its evaluation
+  // instead of being scored again. The count is a property of the search,
+  // not of the thread count.
+  const auto instance = testing::small_instance(100, 8, 2.0, 19);
+  GaConfig config;
+  config.epsilon = 1.2;
+  config.seed = 3;
+  config.threads = 1;
+  const auto ref =
+      run_ga(instance.graph, instance.platform, instance.expected, config);
+  ASSERT_LT(ref.iterations, config.max_iterations) << "expected a stagnation exit";
+  EXPECT_GE(ref.evaluations, config.population_size);
+  EXPECT_LT(ref.evaluations, config.population_size * ref.iterations / 2);
+  config.threads = 4;
+  const auto got =
+      run_ga(instance.graph, instance.platform, instance.expected, config);
+  EXPECT_EQ(got.evaluations, ref.evaluations);
+  EXPECT_EQ(got.best, ref.best);
+}
+
 TEST(GaEngine, BitIdenticalWithCallerProvidedWorkspacePool) {
   // A reused (service-worker) pool carries buffer capacity across runs but
   // must never leak state into the results.

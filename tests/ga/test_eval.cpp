@@ -118,7 +118,7 @@ TEST(EvalWorkspacePool, ReserveRequiresBindingAndKeepsReferencesStable) {
   pool.reserve(8);
   EXPECT_EQ(pool.size(), 8u);
   EXPECT_EQ(first, &pool.workspace(0));  // references survive growth
-  EXPECT_THROW(pool.workspace(8), InvalidArgument);
+  EXPECT_THROW(static_cast<void>(pool.workspace(8)), InvalidArgument);
 
   // Every workspace scores identically.
   Rng rng(10);

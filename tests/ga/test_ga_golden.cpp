@@ -50,6 +50,13 @@ void expect_eval(const Evaluation& got, const Evaluation& want, const std::strin
   expect_bits(got.effective_slack, want.effective_slack, "effective_slack", name);
 }
 
+/// Variation knobs; the defaults are GaConfig's (the paper's settings).
+struct GaKnobs {
+  double crossover_prob = 0.9;
+  double mutation_prob = 0.1;
+  bool elitism = true;
+};
+
 struct GaGolden {
   const char* name;
   std::uint64_t instance_seed;
@@ -65,6 +72,7 @@ struct GaGolden {
   std::size_t iterations;
   double heft_makespan;
   std::uint64_t best_hash;
+  GaKnobs knobs{};
 };
 
 // clang-format off
@@ -81,6 +89,17 @@ const GaGolden kGaGoldens[] = {
      {0x1.5db3955280dfap+8, 0x1.e8fada14fca3bp+4, 0x0p+0}, 250, 0x1.24fc4629bd921p+8, 0x596bc896cece7b6dULL},
     {"paper_scale", 206, 100, 8, 2.0, ObjectiveKind::kEpsilonConstraint, 1.2, 20, false,
      {0x1.1555e20520c2dp+8, 0x1.f367bc94993a3p+4, 0x0p+0}, 300, 0x1.ce54e55698776p+7, 0xf09708d36cd39327ULL},
+    // Converged populations, where most children equal a pool member: every
+    // pair recombines and nothing mutates; a search space smaller than the
+    // population; the effective-slack objective without elitism.
+    {"crossover_only", 210, 40, 4, 2.0, ObjectiveKind::kEpsilonConstraint, 1.2, 20, false,
+     {0x1.28bf7ab45c2f3p+8, 0x1.92808f1332caep+4, 0x0p+0}, 111, 0x1.fcfa7acc86875p+7, 0x178cb15e26b0ffe9ULL,
+     {1.0, 0.0, true}},
+    {"tiny_space", 211, 3, 1, 2.0, ObjectiveKind::kEpsilonConstraint, 1.0, 20, false,
+     {0x1.32132a2655312p+8, 0x1.d555555555555p-45, 0x0p+0}, 100, 0x1.32132a2655312p+8, 0x8d2c8448a230a0a1ULL},
+    {"effective_no_elitism", 212, 40, 4, 4.0, ObjectiveKind::kEpsilonConstraintEffective, 1.2, 20,
+     false, {0x1.98e2c13eff5dfp+8, 0x1.3eba2756d1938p+5, 0x1.2bf6c75a5f158p+4}, 300, 0x1.5b9427668526bp+8, 0xb860ca2c78ef1341ULL,
+     {0.9, 0.1, false}},
 };
 // clang-format on
 
@@ -96,6 +115,9 @@ TEST(GaGolden, RunGaReproducesExactBits) {
     config.objective = g.objective;
     config.epsilon = g.epsilon;
     config.threads = 1;
+    config.crossover_prob = g.knobs.crossover_prob;
+    config.mutation_prob = g.knobs.mutation_prob;
+    config.elitism = g.knobs.elitism;
     if (g.warm_start) {
       Rng seed_rng(g.instance_seed);
       config.seeds.push_back(random_chromosome(instance.graph, g.m, seed_rng));

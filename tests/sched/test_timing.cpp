@@ -490,8 +490,8 @@ TEST(Timing, UncompiledEvaluatorRefusesToEvaluate) {
   const TimingEvaluator bound(instance.graph, instance.platform);
   EXPECT_FALSE(bound.compiled());
   const std::vector<double> durations(instance.task_count(), 1.0);
-  EXPECT_THROW(bound.makespan(durations), InvalidArgument);
-  EXPECT_THROW(bound.full_timing(durations), InvalidArgument);
+  EXPECT_THROW(static_cast<void>(bound.makespan(durations)), InvalidArgument);
+  EXPECT_THROW(static_cast<void>(bound.full_timing(durations)), InvalidArgument);
 }
 
 }  // namespace
