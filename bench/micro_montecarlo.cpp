@@ -7,11 +7,14 @@
 // Emits BENCH_mc.json — a recorded baseline, not a CI gate (shared CI
 // runners are too noisy for a throughput threshold), stamped with the host's
 // core count, compiler, build type, RTS_NATIVE_ARCH and the git sha the
-// build was configured at. The repo's target is batched/scalar >= 3x
-// realizations/s single-threaded; `speedup_ok` records whether this machine
-// met it. The harness FAILS (non-zero exit) if batched and scalar samples
-// differ anywhere in a single bit — that part is a correctness gate,
-// noise-free by construction.
+// build was configured at. Every timed field is the median of kReps runs in
+// this process, recorded beside its interquartile range (`*_iqr`), so one
+// noisy sample cannot stand in for the figure. Each run includes the
+// report's summary (moments and quantiles), as a caller pays it. The repo's
+// target is batched/scalar >= 3x realizations/s single-threaded;
+// `speedup_ok` records whether this machine met it. The harness FAILS
+// (non-zero exit) if batched and scalar samples differ anywhere in a single
+// bit — that part is a correctness gate, noise-free by construction.
 //
 // Usage:
 //   micro_montecarlo [--tasks N] [--procs M] [--realizations K] [--lanes W]
@@ -21,6 +24,7 @@
 // exercising every measured code path end to end.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -31,6 +35,7 @@
 #include "../tests/sim/scalar_oracle.hpp"
 #include "core/rts.hpp"
 #include "util/json_writer.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -87,8 +92,11 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
+constexpr int kReps = 5;
+
 struct Run {
-  double rate = 0.0;  ///< realizations per second, best of `reps`
+  double rate = 0.0;      ///< realizations per second, median of kReps
+  double rate_iqr = 0.0;  ///< q3 − q1 of the kReps rates
   rts::RobustnessReport report;
 };
 
@@ -97,22 +105,25 @@ using Estimator = rts::RobustnessReport (*)(const rts::ProblemInstance&,
                                             const rts::MonteCarloConfig&);
 
 Run timed_run(const rts::ProblemInstance& instance, const rts::Schedule& schedule,
-              const rts::MonteCarloConfig& config, int reps,
+              const rts::MonteCarloConfig& config,
               Estimator estimate = rts::evaluate_robustness) {
   Run run;
-  for (int r = 0; r < reps; ++r) {
+  std::vector<double> rates;
+  for (int r = 0; r < kReps; ++r) {
     const auto start = Clock::now();
     run.report = estimate(instance, schedule, config);
-    const double s = seconds_since(start);
-    run.rate = std::max(run.rate,
-                        static_cast<double>(config.realizations) / s);
+    rates.push_back(static_cast<double>(config.realizations) / seconds_since(start));
   }
+  constexpr std::array<double, 3> kQuartiles{25.0, 50.0, 75.0};
+  std::array<double, 3> q{};
+  rts::percentiles(rates, kQuartiles, q);
+  run.rate = q[1];
+  run.rate_iqr = q[2] - q[0];
   return run;
 }
 
 int run(const Options& opts) {
   using namespace rts;
-  const int reps = opts.smoke ? 2 : 3;
 
   PaperInstanceParams params;
   params.task_count = opts.tasks;
@@ -130,12 +141,12 @@ int run(const Options& opts) {
 
   // --- Scalar oracle, single thread: the pre-batching hot path.
   const Run scalar =
-      timed_run(instance, schedule, base, reps, oracle::scalar_robustness);
+      timed_run(instance, schedule, base, oracle::scalar_robustness);
 
   // --- Batched, single thread, at the configured lane width (headline row).
   MonteCarloConfig batched_cfg = base;
   batched_cfg.lane_width = opts.lanes;
-  const Run batched = timed_run(instance, schedule, batched_cfg, reps);
+  const Run batched = timed_run(instance, schedule, batched_cfg);
 
   // Bit-identity gate: every one of the N realized makespans must match the
   // scalar oracle exactly. This is the differential harness's bench-side
@@ -149,23 +160,23 @@ int run(const Options& opts) {
   }
 
   // --- Lane-width sweep, single thread.
-  std::vector<std::pair<std::size_t, double>> lane_rates;
+  std::vector<std::pair<std::size_t, Run>> lane_runs;
   for (const std::size_t lanes : {4u, 8u, 16u, 32u}) {
     MonteCarloConfig cfg = base;
     cfg.lane_width = lanes;
-    const Run run = timed_run(instance, schedule, cfg, reps);
+    Run run = timed_run(instance, schedule, cfg);
     if (run.report.samples != scalar.report.samples) {
       std::cerr << "FAIL: lane width " << lanes << " diverged from the oracle\n";
       return 1;
     }
-    lane_rates.emplace_back(lanes, run.rate);
+    lane_runs.emplace_back(lanes, std::move(run));
   }
 
   // --- Batched, all hardware threads (thread-count invariance is gated by
   // tests; here it is the throughput row).
   MonteCarloConfig parallel_cfg = batched_cfg;
   parallel_cfg.threads = 0;
-  const Run parallel = timed_run(instance, schedule, parallel_cfg, reps);
+  const Run parallel = timed_run(instance, schedule, parallel_cfg);
   if (parallel.report.samples != scalar.report.samples) {
     std::cerr << "FAIL: parallel batched sweep diverged from the oracle\n";
     return 1;
@@ -176,16 +187,17 @@ int run(const Options& opts) {
 
   std::cout << "micro_montecarlo: tasks=" << opts.tasks << " procs=" << opts.procs
             << " realizations=" << opts.realizations
-            << (opts.smoke ? " (smoke)" : "") << "\n"
+            << (opts.smoke ? " (smoke)" : "") << ", median of " << kReps
+            << " runs per row\n"
             << "  scalar sweep, 1 thread            " << scalar.rate
             << " realizations/s\n"
             << "  batched (lanes=" << opts.lanes << "), 1 thread      "
             << batched.rate << " realizations/s (" << speedup
             << "x vs scalar, target 3x: " << (speedup_ok ? "met" : "MISSED")
             << ")\n";
-  for (const auto& [lanes, rate] : lane_rates) {
-    std::cout << "  batched lanes=" << lanes << ", 1 thread         " << rate
-              << " realizations/s (" << rate / scalar.rate << "x)\n";
+  for (const auto& [lanes, lane] : lane_runs) {
+    std::cout << "  batched lanes=" << lanes << ", 1 thread         " << lane.rate
+              << " realizations/s (" << lane.rate / scalar.rate << "x)\n";
   }
   std::cout << "  batched (lanes=" << opts.lanes << "), all threads    "
             << parallel.rate << " realizations/s ("
@@ -194,6 +206,9 @@ int run(const Options& opts) {
             << " samples\n";
 
   JsonWriter json;
+  const auto rate_field = [&json](const std::string& name, const Run& r) {
+    json.field(name, r.rate).field(name + "_iqr", r.rate_iqr);
+  };
   json.begin_object()
       .field("bench", "micro_montecarlo")
       .field("nproc", std::thread::hardware_concurrency())
@@ -206,14 +221,15 @@ int run(const Options& opts) {
       .field("realizations", opts.realizations)
       .field("lane_width", opts.lanes)
       .field("smoke", opts.smoke)
-      .field("scalar_realizations_per_sec", scalar.rate)
-      .field("batched_realizations_per_sec", batched.rate)
-      .field("batched_speedup_vs_scalar", speedup);
-  for (const auto& [lanes, rate] : lane_rates) {
-    json.field("batched_lanes" + std::to_string(lanes) + "_realizations_per_sec", rate);
+      .field("reps", kReps);
+  rate_field("scalar_realizations_per_sec", scalar);
+  rate_field("batched_realizations_per_sec", batched);
+  json.field("batched_speedup_vs_scalar", speedup);
+  for (const auto& [lanes, lane] : lane_runs) {
+    rate_field("batched_lanes" + std::to_string(lanes) + "_realizations_per_sec", lane);
   }
-  json.field("parallel_realizations_per_sec", parallel.rate)
-      .field("speedup_target", 3.0)
+  rate_field("parallel_realizations_per_sec", parallel);
+  json.field("speedup_target", 3.0)
       .field("speedup_ok", speedup_ok)
       .field("bit_identical_to_scalar", true)
       .end_object();

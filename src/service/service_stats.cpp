@@ -1,6 +1,7 @@
 #include "service/service_stats.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/error.hpp"
 #include "util/json_writer.hpp"
@@ -49,8 +50,11 @@ LatencyRecorder::Quantiles LatencyRecorder::snapshot() const {
   }
   Quantiles q;
   if (count == 0) return q;
-  q.p50 = percentile(copy, 50.0);
-  q.p95 = percentile(copy, 95.0);
+  constexpr std::array<double, 2> kQuantiles{50.0, 95.0};
+  std::array<double, 2> quantiles{};
+  percentiles(copy, kQuantiles, quantiles);
+  q.p50 = quantiles[0];
+  q.p95 = quantiles[1];
   q.max = max;
   return q;
 }

@@ -1,6 +1,7 @@
 #include "sim/monte_carlo.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "sched/timing.hpp"
 #include "sim/batched_sweep.hpp"
@@ -76,20 +77,22 @@ RobustnessReport summarize_makespans(std::vector<double> samples, double m0,
     if (mi > m0) ++misses;
   }
 
-  // One sorted copy serves all three percentiles (percentile() itself sorts
-  // per call, which would triple the serial tail of a 100k-sample run).
-  std::vector<double> sorted(samples);
-  std::sort(sorted.begin(), sorted.end());
-
   RobustnessReport report;
+  // Selecting the quantiles reorders `samples` in place, so a kept copy is
+  // taken first to stay in realization order.
+  if (keep_samples) report.samples = samples;
+  constexpr std::array<double, 3> kQuantiles{50.0, 95.0, 99.0};
+  std::array<double, 3> quantiles{};
+  percentiles(samples, kQuantiles, quantiles);
+
   report.realizations = samples.size();
   report.expected_makespan = m0;
   report.mean_realized_makespan = makespan_stats.mean();
   report.stddev_realized_makespan = makespan_stats.stddev();
   report.max_realized_makespan = makespan_stats.max();
-  report.p50_realized_makespan = percentile_sorted(sorted, 50.0);
-  report.p95_realized_makespan = percentile_sorted(sorted, 95.0);
-  report.p99_realized_makespan = percentile_sorted(sorted, 99.0);
+  report.p50_realized_makespan = quantiles[0];
+  report.p95_realized_makespan = quantiles[1];
+  report.p99_realized_makespan = quantiles[2];
   report.mean_tardiness = tardiness_stats.mean();
   report.miss_rate =
       static_cast<double>(misses) / static_cast<double>(samples.size());
@@ -99,7 +102,6 @@ RobustnessReport summarize_makespans(std::vector<double> samples, double m0,
   report.r2 = report.miss_rate > 0.0
                   ? std::min(reciprocal_cap, 1.0 / report.miss_rate)
                   : reciprocal_cap;
-  if (keep_samples) report.samples = std::move(samples);
   return report;
 }
 

@@ -81,9 +81,12 @@ RobustnessReport evaluate_robustness(const ProblemInstance& instance,
 
 /// Reduce realized makespans `samples` (realization order) against the
 /// expected makespan `m0` into a report: moments, quantiles, E[δ], α, and
-/// R1/R2 capped at `reciprocal_cap`. Keeps the samples in the report when
-/// `keep_samples`. The reduction is serial in realization order, so it is
-/// bit-identical for a given sample vector.
+/// R1/R2 capped at `reciprocal_cap`. The moments are one serial pass in
+/// realization order, so they are bit-identical for a given sample vector.
+/// The quantiles are selected in place in expected O(N) (`percentiles`,
+/// util/stats.hpp): the same order statistics a sort would pick, so the
+/// same bits, without sorting. Keeps the samples in the report, still in
+/// realization order, when `keep_samples`; only then are they copied.
 RobustnessReport summarize_makespans(std::vector<double> samples, double m0,
                                      double reciprocal_cap, bool keep_samples);
 

@@ -65,21 +65,37 @@ double stddev(std::span<const double> xs) noexcept {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  RTS_REQUIRE(!xs.empty(), "percentile of empty data");
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
+  std::vector<double> copy(xs.begin(), xs.end());
+  double out = 0.0;
+  percentiles(copy, std::span<const double>(&p, 1), std::span<double>(&out, 1));
+  return out;
 }
 
-double percentile_sorted(std::span<const double> sorted_xs, double p) {
-  RTS_REQUIRE(!sorted_xs.empty(), "percentile of empty data");
-  RTS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  if (sorted_xs.size() == 1) return sorted_xs.front();
-  const double pos = p / 100.0 * static_cast<double>(sorted_xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted_xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_xs[lo] * (1.0 - frac) + sorted_xs[hi] * frac;
+void percentiles(std::span<double> xs, std::span<const double> ps,
+                 std::span<double> out) {
+  RTS_REQUIRE(!xs.empty(), "percentile of empty data");
+  RTS_REQUIRE(out.size() == ps.size(), "one output per percentile");
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    RTS_REQUIRE(ps[k] >= 0.0 && ps[k] <= 100.0, "percentile must be in [0,100]");
+    RTS_REQUIRE(k == 0 || ps[k - 1] <= ps[k], "percentiles must be ascending");
+  }
+  if (xs.size() == 1) {
+    std::fill(out.begin(), out.end(), xs.front());
+    return;
+  }
+  const std::size_t last = xs.size() - 1;
+  std::size_t from = 0;  // everything below the previous lo is <= v[lo]
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    const double pos = ps[k] / 100.0 * static_cast<double>(last);
+    const auto lo = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(from), nth, xs.end());
+    const double v_lo = *nth;
+    const double v_hi = lo < last ? *std::min_element(nth + 1, xs.end()) : v_lo;
+    out[k] = v_lo * (1.0 - frac) + v_hi * frac;
+    from = lo;
+  }
 }
 
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys) {

@@ -41,14 +41,23 @@ double mean(std::span<const double> xs) noexcept;
 /// Sample standard deviation (n-1); 0 for fewer than two elements.
 double stddev(std::span<const double> xs) noexcept;
 
-/// Linear-interpolated percentile, p in [0,100]. Sorts a copy.
+/// Linear-interpolated percentile, p in [0,100]: percentiles() on a copy.
 double percentile(std::span<const double> xs, double p);
 
-/// Same interpolation over data the caller has ALREADY sorted ascending —
-/// for hot paths that need several percentiles of one large sample (one
-/// sort instead of one per call). Bit-identical to percentile() on the
-/// same data.
-double percentile_sorted(std::span<const double> sorted_xs, double p);
+/// Linear-interpolated percentiles of `xs`: out[k] is the percentile at
+/// ps[k], for ps ascending in [0,100]. With v the ascending order of xs,
+/// pos = p/100·(N−1), lo = ⌊pos⌋ and frac = pos − lo, the value is
+/// v[lo]·(1−frac) + v[lo+1]·frac, with v[lo+1] read as v[lo] when lo = N−1.
+///
+/// Selects instead of sorting, in expected O(N) time for a handful of
+/// quantiles: std::nth_element puts v[lo] in place, searching only above
+/// the previous quantile's index, and v[lo+1] is the minimum of the part
+/// above it. Those are the same order statistics a full sort yields, fed
+/// to the same expression, so the result is bit-identical to interpolating
+/// over sorted data (ties that differ only in bits, ±0, may swap).
+/// Reorders `xs` in place; callers that need the input order copy first.
+void percentiles(std::span<double> xs, std::span<const double> ps,
+                 std::span<double> out);
 
 /// Pearson correlation coefficient; 0 when either series is constant.
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys);

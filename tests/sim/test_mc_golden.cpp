@@ -1,15 +1,16 @@
 // Golden-value regression fixtures for the Monte-Carlo estimators.
 //
 // Five fixed (instance, seed, N) triples with their published-figure
-// statistics (M0, E[M_i], alpha, R1, R2) checked to EXACT BITS (hexfloat
-// literals, EXPECT_EQ). The other realization-sweep estimators —
-// evaluate_dynamic_eft, evaluate_hybrid, analyze_criticality and
-// evaluate_resched — carry the same kind of exact-bit fixtures below. A
-// kernel refactor that silently shifts any rounding — a reordered reduction,
-// a fused multiply-add (src/ pins -ffp-contract=off for this reason), a
-// changed draw order — fails here even if the shift is far below
-// statistical noise, so it cannot silently move the published fig5-fig8
-// numbers.
+// statistics (M0, E[M_i], alpha, R1, R2) and the p50/p95/p99 realized
+// makespans checked to EXACT BITS (hexfloat literals, EXPECT_EQ). The other
+// realization-sweep estimators — evaluate_dynamic_eft, evaluate_hybrid,
+// analyze_criticality and evaluate_resched — carry the same kind of
+// exact-bit fixtures below. A kernel refactor that silently shifts any
+// rounding — a reordered reduction, a fused multiply-add (src/ pins
+// -ffp-contract=off for this reason), a changed draw order, a quantile
+// picking the wrong order statistic — fails here even if the shift is far
+// below statistical noise, so it cannot silently move the published
+// fig5-fig8 numbers.
 //
 // Both evaluate_robustness and the scalar oracle (scalar_oracle.hpp) are
 // checked against the SAME goldens: the two promise bit-identical output.
@@ -45,25 +46,33 @@ struct GoldenTriple {
   double miss_rate;
   double r1;
   double r2;
+  double p50_realized_makespan;
+  double p95_realized_makespan;
+  double p99_realized_makespan;
 };
 
 // clang-format off
 const GoldenTriple kGoldens[] = {
     {101, 20, 3, 2.0, 1, 1000,
      0x1.1995f183ad0fbp+8, 0x1.2830d577195eep+8,
-     0x1.56872b020c49cp-1, 0x1.9974af5292133p+3, 0x1.7ea922d2769ffp+0},
+     0x1.56872b020c49cp-1, 0x1.9974af5292133p+3, 0x1.7ea922d2769ffp+0,
+     0x1.28335b8188c18p+8, 0x1.5efd2b3022a9ep+8, 0x1.6f1008f1e4842p+8},
     {102, 40, 4, 3.0, 2, 2000,
      0x1.08b19dd4670c1p+10, 0x1.119127611445dp+10,
-     0x1.2d0e560418937p-1, 0x1.b9f591d5d2d16p+3, 0x1.b35fc845a8ecep+0},
+     0x1.2d0e560418937p-1, 0x1.b9f591d5d2d16p+3, 0x1.b35fc845a8ecep+0,
+     0x1.112718a5bc84ap+10, 0x1.4b7005c60b8f3p+10, 0x1.5d7b7507d1facp+10},
     {103, 60, 8, 4.0, 3, 500,
      0x1.194f87f2347d7p+11, 0x1.1bf4d574d15adp+11,
-     0x1.051eb851eb852p-1, 0x1.769ee398caa8ap+3, 0x1.f5f5f5f5f5f5fp+0},
+     0x1.051eb851eb852p-1, 0x1.769ee398caa8ap+3, 0x1.f5f5f5f5f5f5fp+0,
+     0x1.1bd628bb2e571p+11, 0x1.763a73c0cfb5cp+11, 0x1.90c427bcff8f3p+11},
     {104, 80, 4, 5.0, 4, 1500,
      0x1.6424226cd5af7p+12, 0x1.6b876303a7b1ap+12,
-     0x1.15d867c3ece2ap-1, 0x1.969140f8b718fp+3, 0x1.d7be95b3434d6p+0},
+     0x1.15d867c3ece2ap-1, 0x1.969140f8b718fp+3, 0x1.d7be95b3434d6p+0,
+     0x1.6b08a4a1b42f6p+12, 0x1.cb7f9a045a5c4p+12, 0x1.ea56fd0ef76fep+12},
     {105, 100, 6, 3.0, 5, 1000,
      0x1.2f0581535798fp+11, 0x1.381fdc458d0fep+11,
-     0x1.3126e978d4fdfp-1, 0x1.113c065c2bd66p+4, 0x1.ad87bb4671656p+0},
+     0x1.3126e978d4fdfp-1, 0x1.113c065c2bd66p+4, 0x1.ad87bb4671656p+0,
+     0x1.386a62d64c268p+11, 0x1.6ccb8076c4bf4p+11, 0x1.7c78da5f59b5cp+11},
 };
 // clang-format on
 
@@ -93,6 +102,9 @@ TEST_P(McGolden, FixedTriplesReproduceExactBits) {
     EXPECT_EQ(report.miss_rate, g.miss_rate);
     EXPECT_EQ(report.r1, g.r1);
     EXPECT_EQ(report.r2, g.r2);
+    EXPECT_EQ(report.p50_realized_makespan, g.p50_realized_makespan);
+    EXPECT_EQ(report.p95_realized_makespan, g.p95_realized_makespan);
+    EXPECT_EQ(report.p99_realized_makespan, g.p99_realized_makespan);
   }
 }
 
@@ -116,16 +128,20 @@ struct DynamicGolden {
   double miss_rate;
   double r1;
   double r2;
+  double p50_realized_makespan;
+  double p99_realized_makespan;
 };
 
 // clang-format off
 const DynamicGolden kDynamicGoldens[] = {
     {201, 30, 4, 3.0, 7, 200,
      0x1.ea6233b3cc271p+7, 0x1.0ada72765129p+8, 0x1.36b9aa1b9c29ep+8,
-     0x1.a3d70a3d70a3dp-1, 0x1.48e72cf22f483p+3, 0x1.3831f3831f383p+0},
+     0x1.a3d70a3d70a3dp-1, 0x1.48e72cf22f483p+3, 0x1.3831f3831f383p+0,
+     0x1.09b507cdf636ap+8, 0x1.43aab5161a283p+8},
     {202, 50, 6, 5.0, 8, 120,
      0x1.29756555a6064p+9, 0x1.4b4ebe163aa61p+9, 0x1.9373b414a732ap+9,
-     0x1.8p-1, 0x1.dbc725e5d1409p+2, 0x1.5555555555555p+0},
+     0x1.8p-1, 0x1.dbc725e5d1409p+2, 0x1.5555555555555p+0,
+     0x1.4e39accb8d0eap+9, 0x1.b2f2e36f3596bp+9},
 };
 // clang-format on
 
@@ -141,7 +157,9 @@ TEST(DynamicGoldens, FixedCasesReproduceExactBits) {
     SCOPED_TRACE(::testing::Message() << "instance_seed=" << g.instance_seed);
     EXPECT_EQ(report.expected_makespan, g.expected_makespan);
     EXPECT_EQ(report.mean_realized_makespan, g.mean_realized_makespan);
+    EXPECT_EQ(report.p50_realized_makespan, g.p50_realized_makespan);
     EXPECT_EQ(report.p95_realized_makespan, g.p95_realized_makespan);
+    EXPECT_EQ(report.p99_realized_makespan, g.p99_realized_makespan);
     EXPECT_EQ(report.miss_rate, g.miss_rate);
     EXPECT_EQ(report.r1, g.r1);
     EXPECT_EQ(report.r2, g.r2);
@@ -159,6 +177,8 @@ struct HybridGolden {
   double r1;
   double r2;
   double rescheduling_rate;
+  double p50_realized_makespan;
+  double p99_realized_makespan;
 };
 
 // One instance (n=30, m=4, UL 3, random plan), N=150, seed 9. The tight
@@ -168,11 +188,13 @@ const HybridGolden kHybridGoldens[] = {
     {0.02,
      0x1.d35a61b63b232p+9, 0x1.504e179366f67p+9, 0x1.ca3654e79f29cp+9,
      0x1.1111111111111p-5, 0x1.0572b0c39215fp+9, 0x1.ep+4,
-     0x1.851eb851eb852p-1},
+     0x1.851eb851eb852p-1,
+     0x1.4522e42255ba5p+9, 0x1.f424bf63fe3ep+9},
     {10.0,
      0x1.d35a61b63b232p+9, 0x1.d86f607553bbep+9, 0x1.131b82a048f22p+10,
      0x1.1111111111111p-1, 0x1.3c6f19b54e062p+4, 0x1.ep+0,
-     0x0p+0},
+     0x0p+0,
+     0x1.db9d12c7dff96p+9, 0x1.23491a0513c66p+10},
 };
 // clang-format on
 
@@ -192,7 +214,9 @@ TEST(HybridGoldens, TrippingAndQuietThresholdsReproduceExactBits) {
     SCOPED_TRACE(::testing::Message() << "threshold=" << g.threshold);
     EXPECT_EQ(report.expected_makespan, g.expected_makespan);
     EXPECT_EQ(report.mean_realized_makespan, g.mean_realized_makespan);
+    EXPECT_EQ(report.p50_realized_makespan, g.p50_realized_makespan);
     EXPECT_EQ(report.p95_realized_makespan, g.p95_realized_makespan);
+    EXPECT_EQ(report.p99_realized_makespan, g.p99_realized_makespan);
     EXPECT_EQ(report.miss_rate, g.miss_rate);
     EXPECT_EQ(report.r1, g.r1);
     EXPECT_EQ(report.r2, g.r2);

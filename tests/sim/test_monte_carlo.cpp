@@ -183,6 +183,59 @@ TEST(MonteCarlo, CollectSamplesReturnsAllRealizations) {
   EXPECT_TRUE(evaluate_robustness(instance, rand.schedule, config).samples.empty());
 }
 
+void expect_same_statistics(const RobustnessReport& a, const RobustnessReport& b) {
+  EXPECT_EQ(a.expected_makespan, b.expected_makespan);
+  EXPECT_EQ(a.mean_realized_makespan, b.mean_realized_makespan);
+  EXPECT_EQ(a.stddev_realized_makespan, b.stddev_realized_makespan);
+  EXPECT_EQ(a.max_realized_makespan, b.max_realized_makespan);
+  EXPECT_EQ(a.p50_realized_makespan, b.p50_realized_makespan);
+  EXPECT_EQ(a.p95_realized_makespan, b.p95_realized_makespan);
+  EXPECT_EQ(a.p99_realized_makespan, b.p99_realized_makespan);
+  EXPECT_EQ(a.mean_tardiness, b.mean_tardiness);
+  EXPECT_EQ(a.miss_rate, b.miss_rate);
+  EXPECT_EQ(a.r1, b.r1);
+  EXPECT_EQ(a.r2, b.r2);
+  EXPECT_EQ(a.realizations, b.realizations);
+}
+
+TEST(MonteCarlo, SummaryKeepsSamplesInRealizationOrder) {
+  // Unsorted makespans with ties: selecting the quantiles in place reorders
+  // its working vector, and the kept samples must not show it.
+  Rng rng(17);
+  std::vector<double> samples(5000);
+  for (double& s : samples) s = 90.0 + 0.5 * static_cast<double>(rng.next_below(80));
+  const auto kept = summarize_makespans(samples, 100.0, 1e12, true);
+  EXPECT_EQ(kept.samples, samples);
+  const auto dropped = summarize_makespans(samples, 100.0, 1e12, false);
+  EXPECT_TRUE(dropped.samples.empty());
+  expect_same_statistics(kept, dropped);
+  EXPECT_EQ(kept.p50_realized_makespan, percentile(samples, 50.0));
+  EXPECT_EQ(kept.p95_realized_makespan, percentile(samples, 95.0));
+  EXPECT_EQ(kept.p99_realized_makespan, percentile(samples, 99.0));
+}
+
+TEST(MonteCarlo, CollectSamplesDoesNotChangeStatistics) {
+  const auto instance = testing::small_instance(30, 4, 3.0, 11);
+  Rng rng(11);
+  const auto rand =
+      random_schedule(instance.graph, instance.platform, instance.expected, rng);
+  MonteCarloConfig config;
+  config.realizations = 2000;
+  config.collect_samples = true;
+  const auto kept = evaluate_robustness(instance, rand.schedule, config);
+  config.collect_samples = false;
+  const auto dropped = evaluate_robustness(instance, rand.schedule, config);
+  expect_same_statistics(kept, dropped);
+  // Realization i draws from substream i whatever N is, so in realization
+  // order a shorter run's samples are a prefix of a longer run's.
+  config.collect_samples = true;
+  config.realizations = 700;
+  const auto prefix = evaluate_robustness(instance, rand.schedule, config);
+  ASSERT_EQ(kept.samples.size(), 2000u);
+  EXPECT_EQ(prefix.samples,
+            std::vector<double>(kept.samples.begin(), kept.samples.begin() + 700));
+}
+
 TEST(MonteCarlo, MissRateConsistentWithSamples) {
   const auto instance = testing::small_instance(25, 3, 3.0, 8);
   Rng rng(8);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -83,6 +88,98 @@ TEST(Percentile, RejectsEmptyAndOutOfRange) {
   EXPECT_THROW(percentile({}, 50.0), InvalidArgument);
   EXPECT_THROW(percentile(xs, -1.0), InvalidArgument);
   EXPECT_THROW(percentile(xs, 101.0), InvalidArgument);
+}
+
+// The interpolation over fully sorted data that percentiles() must
+// reproduce bit for bit: v[lo]·(1−frac) + v[hi]·frac on a sorted copy.
+double sorted_reference(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs.front();
+  const double pos = p / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+enum class Values { kDistinct, kHeavyTies, kAllEqual };
+enum class Order { kShuffled, kSorted, kReversed };
+
+std::vector<double> seeded_input(std::size_t n, Values values, Order order,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) {
+    switch (values) {
+      case Values::kDistinct: x = 100.0 + rng.next_double() * 300.0; break;
+      case Values::kHeavyTies:
+        x = 0.25 * static_cast<double>(rng.next_below(4));
+        break;
+      case Values::kAllEqual: x = 3.7; break;
+    }
+  }
+  if (order == Order::kSorted) std::sort(xs.begin(), xs.end());
+  if (order == Order::kReversed) std::sort(xs.begin(), xs.end(), std::greater<>());
+  return xs;
+}
+
+TEST(Percentiles, SelectionMatchesSortedInterpolationBitForBit) {
+  const std::vector<double> ps{0.0, 50.0, 95.0, 99.0, 100.0};
+  std::uint64_t seed = 1;
+  for (const std::size_t n : {1u, 2u, 3u, 1000u, 100000u}) {
+    for (const Values values : {Values::kDistinct, Values::kHeavyTies, Values::kAllEqual}) {
+      for (const Order order : {Order::kShuffled, Order::kSorted, Order::kReversed}) {
+        const auto input = seeded_input(n, values, order, ++seed);
+        auto work = input;
+        std::vector<double> out(ps.size());
+        percentiles(work, ps, out);
+        for (std::size_t k = 0; k < ps.size(); ++k) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " values=" << static_cast<int>(values)
+                       << " order=" << static_cast<int>(order) << " p=" << ps[k]);
+          EXPECT_EQ(bits(out[k]), bits(sorted_reference(input, ps[k])));
+          EXPECT_EQ(bits(percentile(input, ps[k])), bits(out[k]));
+        }
+        // Selection only permutes the data.
+        std::sort(work.begin(), work.end());
+        auto sorted_input = input;
+        std::sort(sorted_input.begin(), sorted_input.end());
+        EXPECT_EQ(work, sorted_input);
+      }
+    }
+  }
+}
+
+TEST(Percentiles, RepeatedAndInteriorQuantilesMatchReference) {
+  const auto input = seeded_input(777, Values::kDistinct, Order::kShuffled, 99);
+  const std::vector<double> ps{1.0, 1.0, 33.3, 66.7, 66.7, 99.9};
+  auto work = input;
+  std::vector<double> out(ps.size());
+  percentiles(work, ps, out);
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    EXPECT_EQ(bits(out[k]), bits(sorted_reference(input, ps[k]))) << "p=" << ps[k];
+  }
+}
+
+TEST(Percentiles, RejectsEmptyOutOfRangeAndDescending) {
+  std::vector<double> xs{1.0, 2.0, 3.0};
+  std::vector<double> out(2);
+  const std::vector<double> ok{50.0, 95.0};
+  EXPECT_THROW(percentiles({}, ok, out), InvalidArgument);
+  const std::vector<double> below{-1.0, 50.0};
+  EXPECT_THROW(percentiles(xs, below, out), InvalidArgument);
+  const std::vector<double> above{50.0, 100.5};
+  EXPECT_THROW(percentiles(xs, above, out), InvalidArgument);
+  const std::vector<double> nan{std::numeric_limits<double>::quiet_NaN(), 50.0};
+  EXPECT_THROW(percentiles(xs, nan, out), InvalidArgument);
+  const std::vector<double> descending{95.0, 50.0};
+  EXPECT_THROW(percentiles(xs, descending, out), InvalidArgument);
+  std::vector<double> short_out(1);
+  EXPECT_THROW(percentiles(xs, ok, short_out), InvalidArgument);
+  // A rejected call leaves the data untouched.
+  EXPECT_EQ(xs, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST(Pearson, PerfectLinearCorrelation) {
